@@ -1025,7 +1025,7 @@ let train out ngrams sample seed =
 
 (* ---- network serving ------------------------------------------------- *)
 
-let serve port mc_port shards dir duration workers compress dict =
+let serve port mc_port shards dir duration compress dict =
   check_shards shards;
   let config, enc_opt = resolve_compress compress dict in
   if duration < 0.0 then begin
@@ -1057,7 +1057,6 @@ let serve port mc_port shards dir duration workers compress dict =
       Hyperion_net.Server.default_config with
       port;
       memcached_port = mc_port;
-      workers_per_conn = workers;
     }
   in
   match Hyperion_net.Server.start ~config:cfg t with
@@ -1390,10 +1389,6 @@ let duration_arg =
        ~doc:"Serve for $(docv) seconds then shut down cleanly; 0 (default) \
              serves until the process is killed.")
 
-let workers_arg =
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W"
-       ~doc:"Op worker threads per connection (mutations, batches, stats).")
-
 let connect_arg =
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
        ~doc:"Drive an already-running server instead of the self-contained \
@@ -1576,7 +1571,7 @@ let cmds =
                is in-memory ($(b,--shards) worker domains) or recovered \
                from a durable $(b,--dir).  $(b,--duration) 0 serves until \
                killed.  Exits 3 when the bind or recovery fails")
-      Term.(const serve $ port_arg $ mc_port_arg $ shards_arg $ dir_arg $ duration_arg $ workers_arg $ compress_flag_arg $ dict_arg);
+      Term.(const serve $ port_arg $ mc_port_arg $ shards_arg $ dir_arg $ duration_arg $ compress_flag_arg $ dict_arg);
     Cmd.v
       (Cmd.info "loadgen"
          ~doc:"Open-loop load generator with \

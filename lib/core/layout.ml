@@ -66,15 +66,13 @@ let jt_area_size buf base = jt_entry_size * jt_count buf base
 let payload_start buf base = header_size + jt_area_size buf base
 let content_end buf base = read_size buf base - read_free buf base
 
-let jt_read buf base i =
+let jt_key buf base i = Bytes.get_uint8 buf (base + header_size + (i * jt_entry_size))
+
+let jt_off buf base i =
   let p = base + header_size + (i * jt_entry_size) in
-  let key = Bytes.get_uint8 buf p in
-  let off =
-    Bytes.get_uint8 buf (p + 1)
-    lor (Bytes.get_uint8 buf (p + 2) lsl 8)
-    lor (Bytes.get_uint8 buf (p + 3) lsl 16)
-  in
-  (key, off)
+  Bytes.get_uint8 buf (p + 1)
+  lor (Bytes.get_uint8 buf (p + 2) lsl 8)
+  lor (Bytes.get_uint8 buf (p + 3) lsl 16)
 
 let jt_write buf base i ~key ~off =
   if off < 0 || off > 0xffffff then invalid_arg "Layout.jt_write: offset too large";

@@ -68,9 +68,12 @@ val content_end : Bytes.t -> int -> int
 (** Offset (relative to the container base) one past the last record byte:
     [size - free]. *)
 
-val jt_read : Bytes.t -> int -> int -> int * int
-(** [jt_read buf base i] is entry [i] as [(key, offset)]; [offset] is
-    relative to the container base, 0 when unused. *)
+val jt_key : Bytes.t -> int -> int -> int
+(** [jt_key buf base i] is the key byte of entry [i]. *)
+
+val jt_off : Bytes.t -> int -> int -> int
+(** [jt_off buf base i] is the offset of entry [i], relative to the
+    container base; 0 when the entry is unused. *)
 
 val jt_write : Bytes.t -> int -> int -> key:int -> off:int -> unit
 

@@ -144,9 +144,8 @@ let next_t_pos buf t ~limit =
     !pos
   end
 
-let jt_entry buf jt_pos i =
-  let p = jt_pos + (3 * i) in
-  (Bytes.get_uint8 buf p, read_u16 buf (p + 1))
+let jt_key buf jt_pos i = Bytes.get_uint8 buf (jt_pos + (3 * i))
+let jt_off buf jt_pos i = read_u16 buf (jt_pos + (3 * i) + 1)
 
 let jt_set_entry buf jt_pos i ~key ~off =
   let p = jt_pos + (3 * i) in

@@ -49,10 +49,12 @@ val next_t_pos : Bytes.t -> tnode -> limit:int -> int
     when present, otherwise by walking its S-children); at most [limit]
     (the region's content end). *)
 
-val jt_entry : Bytes.t -> int -> int -> int * int
-(** [jt_entry buf jt_pos i] is T-node jump-table entry [i] as
-    [(key, offset)] with [offset] relative to the T-record start; offset 0
-    means unused. *)
+val jt_key : Bytes.t -> int -> int -> int
+(** [jt_key buf jt_pos i] is the key byte of T-node jump-table entry [i]. *)
+
+val jt_off : Bytes.t -> int -> int -> int
+(** [jt_off buf jt_pos i] is the offset of T-node jump-table entry [i],
+    relative to the T-record start; 0 means unused. *)
 
 val jt_set_entry : Bytes.t -> int -> int -> key:int -> off:int -> unit
 

@@ -39,76 +39,75 @@ type s_result =
       s_succ : Records.snode option;
     }
 
-(* Best container-jump-table entry for [k0]: the populated entry with the
-   largest key <= k0 (paper: linear scan of the entries). *)
-let cjt_start cbox region k0 =
-  if not region.top then None
-  else begin
-    let buf = cbox.buf and base = cbox.base in
-    let cnt = Layout.jt_count buf base in
-    let best = ref None in
-    for i = 0 to cnt - 1 do
-      let key, off = Layout.jt_read buf base i in
-      if off <> 0 && key <= k0 then
-        match !best with
-        | Some (bk, _) when bk >= key -> ()
-        | _ -> best := Some (key, base + off)
-    done;
-    !best
-  end
+(* Index of the best container-jump-table entry for [k0]: the populated
+   entry with the largest key <= k0, the first one on ties (paper: linear
+   scan of the entries); -1 when there is none. *)
+let cjt_start cbox k0 =
+  let buf = cbox.buf and base = cbox.base in
+  let best = ref (-1) and best_key = ref (-1) in
+  for i = 0 to Layout.jt_count buf base - 1 do
+    let key = Layout.jt_key buf base i in
+    if key <= k0 && key > !best_key && Layout.jt_off buf base i <> 0 then begin
+      best := i;
+      best_key := key
+    end
+  done;
+  !best
 
 let find_t ?(use_jumps = true) cbox region k0 ~traversed =
   let buf = cbox.buf in
   let start_pos, start_key =
     if not use_jumps || not region.top then (region.rb, -1)
     else
-      match cjt_start cbox region k0 with
-      | Some (key, pos) when pos < region.re ->
-          note_jt true;
-          (pos, key)
-      | _ ->
-          note_jt false;
-          (region.rb, -1)
+      let i = cjt_start cbox k0 in
+      let pos =
+        if i < 0 then max_int else cbox.base + Layout.jt_off buf cbox.base i
+      in
+      if pos < region.re then begin
+        note_jt true;
+        (pos, Layout.jt_key buf cbox.base i)
+      end
+      else begin
+        note_jt false;
+        (region.rb, -1)
+      end
   in
   (* [prev] is the predecessor sibling's key; after a jump the jump target's
-     own predecessor is unknown and reported as -1. *)
+     own predecessor is unknown and reported as -1.  [known] is the record's
+     key when the jump table supplied it, -1 otherwise. *)
   let rec go pos prev known =
     if pos >= region.re then
       T_insert { t_at = region.re; t_prev_key = prev; t_succ = None }
     else begin
       let t =
-        match known with
-        | Some key -> Records.parse_t_known buf pos ~key
-        | None -> Records.parse_t buf pos ~prev_key:prev
+        if known >= 0 then Records.parse_t_known buf pos ~key:known
+        else Records.parse_t buf pos ~prev_key:prev
       in
       incr traversed;
       if t.Records.t_key = k0 then T_found (t, prev)
       else if t.Records.t_key > k0 then
         T_insert { t_at = pos; t_prev_key = prev; t_succ = Some t }
       else
-        go (Records.next_t_pos buf t ~limit:region.re) t.Records.t_key None
+        go (Records.next_t_pos buf t ~limit:region.re) t.Records.t_key (-1)
     end
   in
-  go start_pos (-1) (if start_key >= 0 then Some start_key else None)
+  go start_pos (-1) start_key
 
 let t_children_end cbox region t =
   Records.next_t_pos cbox.buf t ~limit:region.re
 
-(* Best T-node jump-table entry for [k1]. *)
+(* Index of the best T-node jump-table entry for [k1], as [cjt_start]. *)
 let tjt_start cbox t k1 =
-  if t.Records.t_jt_pos < 0 then None
-  else begin
-    let buf = cbox.buf in
-    let best = ref None in
-    for i = 0 to Node.jt_entries - 1 do
-      let key, off = Records.jt_entry buf t.Records.t_jt_pos i in
-      if off <> 0 && key <= k1 then
-        match !best with
-        | Some (bk, _) when bk >= key -> ()
-        | _ -> best := Some (key, t.Records.t_pos + off)
-    done;
-    !best
-  end
+  let buf = cbox.buf and jt = t.Records.t_jt_pos in
+  let best = ref (-1) and best_key = ref (-1) in
+  for i = 0 to Node.jt_entries - 1 do
+    let key = Records.jt_key buf jt i in
+    if key <= k1 && key > !best_key && Records.jt_off buf jt i <> 0 then begin
+      best := i;
+      best_key := key
+    end
+  done;
+  !best
 
 let find_s ?(use_jumps = true) ?(scanned = ref 0) cbox region t k1 =
   let buf = cbox.buf in
@@ -116,13 +115,19 @@ let find_s ?(use_jumps = true) ?(scanned = ref 0) cbox region t k1 =
   let start_pos, start_key =
     if not use_jumps || t.Records.t_jt_pos < 0 then (t.Records.t_head_end, -1)
     else
-      match tjt_start cbox t k1 with
-      | Some (key, pos) when pos < s_end ->
-          note_jt true;
-          (pos, key)
-      | _ ->
-          note_jt false;
-          (t.Records.t_head_end, -1)
+      let i = tjt_start cbox t k1 in
+      let jt = t.Records.t_jt_pos in
+      let pos =
+        if i < 0 then max_int else t.Records.t_pos + Records.jt_off buf jt i
+      in
+      if pos < s_end then begin
+        note_jt true;
+        (pos, Records.jt_key buf jt i)
+      end
+      else begin
+        note_jt false;
+        (t.Records.t_head_end, -1)
+      end
   in
   let rec go pos prev known =
     incr scanned;
@@ -134,17 +139,16 @@ let find_s ?(use_jumps = true) ?(scanned = ref 0) cbox region t k1 =
         S_insert { s_at = pos; s_prev_key = prev; s_succ = None }
       else
         let s =
-          match known with
-          | Some key -> Records.parse_s_known buf pos ~key
-          | None -> Records.parse_s buf pos ~prev_key:prev
+          if known >= 0 then Records.parse_s_known buf pos ~key:known
+          else Records.parse_s buf pos ~prev_key:prev
         in
         if s.Records.s_key = k1 then S_found (s, prev)
         else if s.Records.s_key > k1 then
           S_insert { s_at = pos; s_prev_key = prev; s_succ = Some s }
-        else go s.Records.s_end s.Records.s_key None
+        else go s.Records.s_end s.Records.s_key (-1)
     end
   in
-  go start_pos (-1) (if start_key >= 0 then Some start_key else None)
+  go start_pos (-1) start_key
 
 let count_s_children ?(cap = max_int) cbox region t =
   let buf = cbox.buf in

@@ -103,7 +103,7 @@ let adjust_record_offsets buf t_pos d =
       (Records.read_u16 buf t.Records.t_js_pos + d);
   if t.Records.t_jt_pos >= 0 then
     for i = 0 to Node.jt_entries - 1 do
-      let key, off = Records.jt_entry buf t.Records.t_jt_pos i in
+      let key = Records.jt_key buf t.Records.t_jt_pos i and off = Records.jt_off buf t.Records.t_jt_pos i in
       if off <> 0 then
         Records.jt_set_entry buf t.Records.t_jt_pos i ~key ~off:(off + d)
     done
@@ -126,7 +126,7 @@ let patch_offsets cbox ~at_rel ~remove ~n ~keep_at =
   let cnt = Layout.jt_count buf base in
   let start = ref (Layout.payload_start buf base) in
   for i = 0 to cnt - 1 do
-    let key, off = Layout.jt_read buf base i in
+    let key = Layout.jt_key buf base i and off = Layout.jt_off buf base i in
     if off <> 0 then begin
       (* strictly before the splice point: the walk must reach the last
          T-record starting before [at_rel] *)
@@ -161,7 +161,7 @@ let patch_offsets cbox ~at_rel ~remove ~n ~keep_at =
     end;
     if t.Records.t_jt_pos >= 0 then
       for i = 0 to Node.jt_entries - 1 do
-        let key, off = Records.jt_entry buf t.Records.t_jt_pos i in
+        let key = Records.jt_key buf t.Records.t_jt_pos i and off = Records.jt_off buf t.Records.t_jt_pos i in
         if off <> 0 then begin
           let target_rel = t.Records.t_pos - base + off in
           match patch_jt_target ~at:at_rel ~remove ~n target_rel with

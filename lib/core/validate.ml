@@ -78,7 +78,7 @@ let rec check_region acc buf ~rb ~re ~top ~ctx =
             (* jump-table entries must name existing S records *)
             if t.Records.t_jt_pos >= 0 then
               for i = 0 to Node.jt_entries - 1 do
-                let key, off = Records.jt_entry buf t.Records.t_jt_pos i in
+                let key = Records.jt_key buf t.Records.t_jt_pos i and off = Records.jt_off buf t.Records.t_jt_pos i in
                 if off <> 0 then begin
                   let target = t.Records.t_pos + off in
                   match List.assoc_opt target s_index with
@@ -178,7 +178,7 @@ and check_top acc buf base ~cap ~ctx =
   (* container jump-table entries must name existing T records *)
   let cnt = Layout.jt_count buf base in
   for i = 0 to cnt - 1 do
-    let key, off = Layout.jt_read buf base i in
+    let key = Layout.jt_key buf base i and off = Layout.jt_off buf base i in
     if off <> 0 then begin
       match List.find_opt (fun (_, p) -> p = base + off) ts with
       | Some (k, _) when k = key -> ()

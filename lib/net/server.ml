@@ -1,6 +1,7 @@
-(* TCP serving front-end: acceptor + per-connection reader/workers/writer
-   multiplexing pipelined binary frames onto the shard mailboxes, plus an
-   optional memcached-text listener.  See server.mli and DESIGN.md §13. *)
+(* TCP serving front-end: one event-loop thread per server owns both
+   listeners and every connection, answers reads inline and hands
+   mutations to the shard mailboxes without blocking.  See server.mli and
+   DESIGN.md §13. *)
 
 module Sh = Hyperion_shard
 module E = Hyperion.Hyperion_error
@@ -9,18 +10,11 @@ type config = {
   host : string;
   port : int;
   memcached_port : int option;
-  workers_per_conn : int;
   max_connections : int;
 }
 
 let default_config =
-  {
-    host = "127.0.0.1";
-    port = 7791;
-    memcached_port = None;
-    workers_per_conn = 4;
-    max_connections = 1024;
-  }
+  { host = "127.0.0.1"; port = 7791; memcached_port = None; max_connections = 1024 }
 
 (* ---- telemetry ------------------------------------------------------- *)
 
@@ -30,7 +24,7 @@ let g_conns =
 
 let g_inflight =
   Telemetry.Gauge.make "hyperion_net_inflight"
-    ~help:"Requests queued to or executing on connection op workers"
+    ~help:"Mutations handed to shard mailboxes and not yet answered"
 
 let c_proto_errors =
   Telemetry.Counter.make "hyperion_net_protocol_errors_total"
@@ -57,87 +51,39 @@ let h_latency =
 (* opcode (1-based on the wire) -> metric index *)
 let metric_ix req = Frame.opcode req - 1
 
-let inflight = Atomic.make 0
+let observe_latency ix t0 =
+  if Telemetry.enabled () && t0 >= 0 then
+    Telemetry.Histogram.observe_ns h_latency.(ix) (Telemetry.now_ns () - t0)
 
-let inflight_add d =
-  let v = Atomic.fetch_and_add inflight d + d in
-  if Telemetry.enabled () then Telemetry.Gauge.set g_inflight v
+let count_request req =
+  if Telemetry.enabled () then Telemetry.Counter.incr c_requests.(metric_ix req)
 
-(* ---- blocking queue -------------------------------------------------- *)
-
-module Bq = struct
-  type 'a t = {
-    m : Mutex.t;
-    c : Condition.t;
-    q : 'a Queue.t;
-    mutable closed : bool; [@guarded_by m]
-  }
-
-  let create () =
-    { m = Mutex.create (); c = Condition.create (); q = Queue.create ();
-      closed = false }
-
-  let push t v =
-    Mutex.lock t.m;
-    let accepted = not t.closed in
-    if accepted then begin
-      Queue.push v t.q;
-      Condition.signal t.c
-    end;
-    Mutex.unlock t.m;
-    accepted
-
-  let close t =
-    Mutex.lock t.m;
-    t.closed <- true;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  (* Blocks until an element is available or the queue is closed and
-     drained; [None] means no element will ever come. *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.q with
-      | Some v ->
-          Mutex.unlock t.m;
-          Some v
-      | None ->
-          if t.closed then begin
-            Mutex.unlock t.m;
-            None
-          end
-          else begin
-            Condition.wait t.c t.m;
-            wait ()
-          end
-    in
-    wait ()
-end
+let count_proto_error () =
+  if Telemetry.enabled () then Telemetry.Counter.incr c_proto_errors
 
 (* ---- sockets --------------------------------------------------------- *)
 
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n = Unix.write fd b off len in
-    write_all fd b (off + n) (len - n)
-  end
+(* See poll_stubs.c: [flags.(i)] goes in as the interest in [fds.(i)] and
+   comes back as its readiness. *)
+external poll : Unix.file_descr array -> int array -> int -> int -> int
+  = "hyperion_net_poll"
+
+let want_read = 1
+let want_write = 2
 
 let quiet_close fd =
   match Unix.close fd with
   | () -> ()
   | exception Unix.Unix_error (err, _, _) -> ignore err
 
-let quiet_shutdown fd =
-  match Unix.shutdown fd Unix.SHUTDOWN_ALL with
-  | () -> ()
-  | exception Unix.Unix_error (err, _, _) -> ignore err
+let would_block = function
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
+  | _ -> false
 
-(* ---- request execution ----------------------------------------------- *)
+(* ---- responses ------------------------------------------------------- *)
 
-let of_result = function
-  | Ok () -> Frame.Ack
-  | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)
+let err e = Frame.Err (Frame.err_of_hyperion e, E.to_string e)
+let of_result = function Ok () -> Frame.Ack | Error e -> err e
 
 let bad_key k =
   if k = "" then Some (Frame.Err (Frame.E_empty_key, "empty key"))
@@ -149,56 +95,15 @@ let bad_key k =
              Frame.max_key_len ))
   else None
 
-let exec store (req : Frame.request) : Frame.response =
+(* The requests answered on the loop itself: reads, and the two
+   introspection ops ([Stats] is the one place the loop waits on the
+   shards: it needs the quiescent cut). *)
+let exec_inline store (req : Frame.request) : Frame.response =
   match req with
-  | Put (k, v) -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> of_result (Sh.put_result store k v))
-  | Add k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> of_result (Sh.add_result store k))
-  | Delete k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> (
-          match Sh.delete_result store k with
-          | Ok existed -> Frame.Found existed
-          | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)))
   | Get k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> Frame.Value (Sh.get store k))
+      match bad_key k with Some e -> e | None -> Frame.Value (Sh.get store k))
   | Mem k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> Frame.Found (Sh.mem store k))
-  | Batch ops -> (
-      let bad =
-        Array.fold_left
-          (fun acc op ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match op with
-                | Frame.Bput (k, _) | Frame.Badd k | Frame.Bdel k -> bad_key k))
-          None ops
-      in
-      match bad with
-      | Some e -> e
-      | None ->
-          let b = Sh.Batch.create store in
-          Array.iter
-            (fun op ->
-              match op with
-              | Frame.Bput (k, v) -> Sh.Batch.put b k v
-              | Frame.Badd k -> Sh.Batch.add b k
-              | Frame.Bdel k -> Sh.Batch.delete b k)
-            ops;
-          (match Sh.Batch.flush b with
-          | Ok n -> Frame.Applied n
-          | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)))
+      match bad_key k with Some e -> e | None -> Frame.Found (Sh.mem store k))
   | Stats ->
       let keys, bytes, saturated =
         Sh.with_quiesced store (fun stores ->
@@ -228,593 +133,664 @@ let exec store (req : Frame.request) : Frame.response =
                   sh_backlog = h.Sh.hs_backlog;
                 })
               (Sh.health store)))
+  | Put _ | Add _ | Delete _ | Batch _ ->
+      Frame.Err (Frame.E_internal, "mutation on the inline path")
 
 let exec_safe store req =
-  match exec store req with
+  match exec_inline store req with
   | resp -> resp
-  | exception E.Error e ->
-      Frame.Err (Frame.err_of_hyperion e, E.to_string e)
+  | exception E.Error e -> err e
   | exception Invalid_argument msg -> Frame.Err (Frame.E_bad_request, msg)
   | exception exn -> Frame.Err (Frame.E_internal, Printexc.to_string exn)
 
-(* ---- connections ----------------------------------------------------- *)
+(* The shard job for a mutation frame, its reply going to [reply]; a bad
+   key is answered at once instead. *)
+let mutation_job store (req : Frame.request) reply =
+  let checked k make = match bad_key k with Some e -> Error e | None -> Ok (make ()) in
+  match req with
+  | Put (k, v) -> checked k (fun () -> Sh.put_job store k v (fun r -> reply (of_result r)))
+  | Add k -> checked k (fun () -> Sh.add_job store k (fun r -> reply (of_result r)))
+  | Delete k ->
+      checked k (fun () ->
+          Sh.delete_job store k (function
+            | Ok existed -> reply (Frame.Found existed)
+            | Error e -> reply (err e)))
+  | Batch ops -> (
+      let key = function Frame.Bput (k, _) | Frame.Badd k | Frame.Bdel k -> k in
+      match Array.find_map (fun op -> bad_key (key op)) ops with
+      | Some e -> Error e
+      | None ->
+          let b = Sh.Batch.create store in
+          Array.iter
+            (function
+              | Frame.Bput (k, v) -> Sh.Batch.put b k v
+              | Frame.Badd k -> Sh.Batch.add b k
+              | Frame.Bdel k -> Sh.Batch.delete b k)
+            ops;
+          Ok
+            (Sh.Batch.job b (fun report ->
+                 match Sh.Batch.outcome report with
+                 | Ok n -> reply (Frame.Applied n)
+                 | Error e -> reply (err e))))
+  | Get _ | Mem _ | Stats | Health ->
+      Error (Frame.Err (Frame.E_internal, "inline request on the mutation path"))
+
+(* ---- state shared with the shard workers ----------------------------- *)
+
+(* One answered mutation on its way back to the loop.  [c_id] is the
+   binary request id, or for memcached 1 when the reply is suppressed
+   ([noreply]) and 0 otherwise. *)
+type completion = {
+  c_conn : int;
+  c_id : int;
+  c_op : int;  (* metric index *)
+  c_t0 : int;  (* decode time, -1 untimed *)
+  c_resp : Frame.response;
+}
+
+type core = {
+  wake_r : Unix.file_descr;  (* self-pipe: a byte means "completions queued" *)
+  wake_w : Unix.file_descr;
+  cq_m : Mutex.t;
+  mutable cq : completion list; [@guarded_by cq_m]  (* newest first *)
+  mutable woken : bool; [@guarded_by cq_m]
+      (* a wake byte is owed or pending since the loop last took [cq] *)
+  outstanding : int Atomic.t;
+      (* mutation callbacks armed and not yet returned: the pipe stays
+         open until this drops to 0 *)
+  open_conns : int Atomic.t;
+  stopping : bool Atomic.t;
+}
+
+let wake core =
+  match Unix.single_write_substring core.wake_w "!" 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      (* EAGAIN: the pipe is full, so the loop is due to wake anyway *)
+      ignore e
+
+(* Runs on the shard worker that answered (or on the loop, for answers
+   that needed no worker).  Only the first push after the loop drained the
+   queue writes to the pipe. *)
+let complete core c =
+  Mutex.lock core.cq_m;
+  core.cq <- c :: core.cq;
+  let first = not core.woken in
+  core.woken <- true;
+  Mutex.unlock core.cq_m;
+  if first then wake core;
+  Atomic.decr core.outstanding
+
+(* The loop drains the pipe before taking the queue, so a push racing the
+   take either lands in this batch or writes a fresh wake byte. *)
+let take_completions core =
+  Mutex.lock core.cq_m;
+  let l = core.cq in
+  core.cq <- [];
+  core.woken <- false;
+  Mutex.unlock core.cq_m;
+  List.rev l
+
+let drain_wake core =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read core.wake_r b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error (e, _, _) -> ignore e
+  in
+  go ()
+
+(* ---- connections (owned by the loop thread) -------------------------- *)
+
+type proto =
+  | Binary of Frame.Decoder.t
+  | Text of Buffer.t  (* memcached: received bytes not yet parsed *)
+
+type phase =
+  | Open  (* reading and parsing *)
+  | Parked of Sh.job
+      (* a mutation waits for mailbox room: nothing more is parsed (or
+         read) until it is queued *)
+  | Closing  (* peer gone or framing lost: close once answered *)
+  | Closed
 
 type conn = {
+  cid : int;
   fd : Unix.file_descr;
-  work : (int * int * Frame.request) Bq.t;  (* id, t0_ns, request *)
-  out : string Bq.t;  (* encoded response frames *)
-  wm : Mutex.t;
-  mutable live_workers : int; [@guarded_by wm]
+  proto : proto;
+  out : Buffer.t;  (* answers not yet written *)
+  mutable inflight : int;  (* mutations submitted and not yet answered *)
+  mutable phase : phase;
 }
 
-type t = {
+(* [phase] carries a job (closures): test it by matching, never with [=]. *)
+let is_open c = match c.phase with Open -> true | Parked _ | Closing | Closed -> false
+let is_closed c = match c.phase with Closed -> true | Open | Parked _ | Closing -> false
+
+type loop = {
+  core : core;
   store : Sh.t;
   cfg : config;
-  bin_sock : Unix.file_descr;
-  bin_port : int;
-  mc_sock : Unix.file_descr option;
-  mc_port : int option;
-  sm : Mutex.t;
-  conns : (int, conn * Thread.t list) Hashtbl.t;
-  mutable next_conn : int; [@guarded_by sm]
-  mutable stopping : bool; [@guarded_by sm]
-  mutable acceptors : Thread.t list;
-      (* written once by [start] before any reader exists; joined by [stop] *)
+  listeners : (Unix.file_descr * bool) list;  (* socket, memcached? *)
+  conns : (int, conn) Hashtbl.t;
+  rbuf : Bytes.t;
 }
 
-let set_conn_gauge t =
-  if Telemetry.enabled () then
-    Telemetry.Gauge.set g_conns (Hashtbl.length t.conns)
-
-let respond conn ~id resp =
-  let b = Buffer.create 64 in
-  Frame.encode_response b ~id resp;
-  ignore (Bq.push conn.out (Buffer.contents b))
-
-let observe_latency req t0 =
-  if Telemetry.enabled () && t0 >= 0 then
-    Telemetry.Histogram.observe_ns
-      h_latency.(metric_ix req)
-      (Telemetry.now_ns () - t0)
-
-let count_request req =
-  if Telemetry.enabled () then Telemetry.Counter.incr c_requests.(metric_ix req)
-
-let count_proto_error () =
-  if Telemetry.enabled () then Telemetry.Counter.incr c_proto_errors
-
-(* Op worker: drain the connection's work queue through the store. *)
-let worker_loop t conn =
-  let rec loop () =
-    match Bq.pop conn.work with
-    | None -> ()
-    | Some (id, t0, req) ->
-        let resp = exec_safe t.store req in
-        observe_latency req t0;
-        respond conn ~id resp;
-        inflight_add (-1);
-        loop ()
-  in
-  loop ();
-  (* the last worker out seals the response queue so the writer can
-     finish its drain and close the socket *)
-  Mutex.lock conn.wm;
-  conn.live_workers <- conn.live_workers - 1;
-  let last = conn.live_workers = 0 in
-  Mutex.unlock conn.wm;
-  if last then Bq.close conn.out
-
-let writer_loop conn =
-  let rec loop () =
-    match Bq.pop conn.out with
-    | None -> ()
-    | Some frame ->
-        (* SAFETY: Bytes.unsafe_of_string aliases an immutable string that
-           write(2) only reads; the bytes are never mutated. *)
-        (match write_all conn.fd (Bytes.unsafe_of_string frame) 0
-                 (String.length frame)
-         with
-        | () -> ()
-        | exception Unix.Unix_error (err, _, _) ->
-            (* peer gone: discard the rest of the queue but keep popping so
-               workers never block on a full ... (queue is unbounded; this
-               just drains promptly) *)
-            ignore err);
-        loop ()
-  in
-  loop ();
-  quiet_close conn.fd
+(* Reading pauses while this much output waits for a slow reader. *)
+let max_out = 4 lsl 20
 
 (* Cap on reads drained into one batched descent: bounds the latency of
-   the first response in a burst and the scratch arrays below. *)
+   the first response in a burst. *)
 let max_read_burst = 256
 
-let reader_loop t conn =
-  let buf = Bytes.create 65536 in
-  let dec = Frame.Decoder.create () in
-  let stop = ref false in
-  (* Consecutive pipelined Get/Mem frames accumulate here (newest first)
-     and flush through one batched store descent at batch boundaries: a
-     mutation frame, the decode buffer running dry, burst cap, corruption
-     or EOF. *)
-  let pending = ref [] in
-  let npending = ref 0 in
+let note_conns lp =
+  let n = Hashtbl.length lp.conns in
+  Atomic.set lp.core.open_conns n;
+  if Telemetry.enabled () then Telemetry.Gauge.set g_conns n
+
+let drop lp c =
+  (match c.phase with
+  | Parked _ ->
+      (* never queued, so its callback will never run *)
+      Atomic.decr lp.core.outstanding
+  | Open | Closing | Closed -> ());
+  if not (is_closed c) then begin
+    c.phase <- Closed;
+    quiet_close c.fd;
+    Hashtbl.remove lp.conns c.cid;
+    note_conns lp
+  end
+
+let respond c ~id resp = Frame.encode_response c.out ~id resp
+
+let start_job lp c job =
+  c.inflight <- c.inflight + 1;
+  Atomic.incr lp.core.outstanding;
+  if not (Sh.submit job) then c.phase <- Parked job
+
+(* ---- binary protocol ------------------------------------------------- *)
+
+(* Pipelined Get/Mem frames, oldest first, go through one batched descent
+   per opcode; a bad key is answered per frame and a failing batch is
+   re-run per frame, so every response carries its own outcome. *)
+let answer_reads lp c reads =
+  let frames = Array.of_list reads in
+  let resps = Array.make (Array.length frames) (Frame.Value None) in
+  let gets = ref [] and mems = ref [] in
+  Array.iteri
+    (fun i (_, _, req) ->
+      match req with
+      | Frame.Get k -> (
+          match bad_key k with Some e -> resps.(i) <- e | None -> gets := (i, k) :: !gets)
+      | Frame.Mem k -> (
+          match bad_key k with Some e -> resps.(i) <- e | None -> mems := (i, k) :: !mems)
+      | _ -> resps.(i) <- exec_safe lp.store req)
+    frames;
+  let scatter group run =
+    match List.rev group with
+    | [] -> ()
+    | l -> (
+        let idx = Array.of_list (List.map fst l) in
+        match run (Array.of_list (List.map snd l)) with
+        | rs -> Array.iteri (fun j r -> resps.(idx.(j)) <- r) rs
+        | exception (E.Error _ | Invalid_argument _) ->
+            Array.iter
+              (fun i ->
+                let _, _, req = frames.(i) in
+                resps.(i) <- exec_safe lp.store req)
+              idx
+        | exception exn ->
+            let msg = Printexc.to_string exn in
+            Array.iter (fun i -> resps.(i) <- Frame.Err (Frame.E_internal, msg)) idx)
+  in
+  scatter !gets (fun keys ->
+      Array.map (fun v -> Frame.Value v) (Sh.get_many lp.store keys));
+  scatter !mems (fun keys ->
+      Array.map (fun b -> Frame.Found b) (Sh.mem_many lp.store keys));
+  Array.iteri
+    (fun i (id, t0, req) ->
+      observe_latency (metric_ix req) t0;
+      respond c ~id resps.(i))
+    frames
+
+let parse_binary lp c dec =
+  let reads = ref [] and nreads = ref 0 in
   let flush_reads () =
-    if !npending > 0 then begin
-      let frames = Array.of_list (List.rev !pending) in
-      pending := [];
-      npending := 0;
-      let nf = Array.length frames in
-      let resps = Array.make nf (Frame.Err (Frame.E_internal, "unset")) in
-      (* Per-frame key validation stays per-frame (a bad key must not
-         poison its neighbours); valid reads group by opcode. *)
-      let gets = ref [] and mems = ref [] in
-      Array.iteri
-        (fun i (_, _, req) ->
-          match req with
-          | Frame.Get k -> (
-              match bad_key k with
-              | Some e -> resps.(i) <- e
-              | None -> gets := (i, k) :: !gets)
-          | Frame.Mem k -> (
-              match bad_key k with
-              | Some e -> resps.(i) <- e
-              | None -> mems := (i, k) :: !mems)
-          | _ -> resps.(i) <- Frame.Err (Frame.E_internal, "non-read batched"))
-        frames;
-      let scatter group run =
-        match List.rev group with
-        | [] -> ()
-        | l -> (
-            let idx = Array.of_list (List.map fst l) in
-            let keys = Array.of_list (List.map snd l) in
-            match run keys with
-            | rs -> Array.iteri (fun j r -> resps.(idx.(j)) <- r) rs
-            | exception (E.Error _ | Invalid_argument _) ->
-                (* one failing batch must not fail the whole burst: re-run
-                   the slice per frame so each response carries its own
-                   typed error *)
-                Array.iter
-                  (fun i ->
-                    let _, _, req = frames.(i) in
-                    resps.(i) <- exec_safe t.store req)
-                  idx
-            | exception exn ->
-                let msg = Printexc.to_string exn in
-                Array.iter
-                  (fun i -> resps.(i) <- Frame.Err (Frame.E_internal, msg))
-                  idx)
-      in
-      scatter !gets (fun keys ->
-          Array.map (fun v -> Frame.Value v) (Sh.get_many t.store keys));
-      scatter !mems (fun keys ->
-          Array.map (fun b -> Frame.Found b) (Sh.mem_many t.store keys));
-      Array.iteri
-        (fun i (id, t0, req) ->
-          observe_latency req t0;
-          respond conn ~id resps.(i))
-        frames
+    if !nreads > 0 then begin
+      answer_reads lp c (List.rev !reads);
+      reads := [];
+      nreads := 0
     end
   in
-  let handle_frame id tag payload =
-    match Frame.parse_request ~tag payload with
-    | Error msg ->
-        count_proto_error ();
-        flush_reads ();
-        respond conn ~id (Frame.Err (Frame.E_bad_request, msg))
-    | Ok req -> (
-        count_request req;
-        let t0 = if Telemetry.enabled () then Telemetry.now_ns () else -1 in
-        match req with
-        | Frame.Get _ | Frame.Mem _ ->
-            (* lock-free reads never touch a mailbox: serve them on the
-               reader so they overtake queued mutations (pipelining);
-               consecutive reads batch into one pipelined descent *)
-            pending := (id, t0, req) :: !pending;
-            incr npending;
-            if !npending >= max_read_burst then flush_reads ()
-        | _ ->
-            flush_reads ();
-            inflight_add 1;
-            if not (Bq.push conn.work (id, t0, req)) then inflight_add (-1))
-  in
-  let drain_frames () =
-    let continue = ref true in
-    while !continue do
+  let rec go () =
+    if is_open c then
       match Frame.Decoder.next dec with
-      | Frame.Frame (id, tag, payload) -> handle_frame id tag payload
-      | Frame.Need_more ->
-          flush_reads ();
-          continue := false
+      | Frame.Need_more -> ()
       | Frame.Corrupt msg ->
           count_proto_error ();
           flush_reads ();
-          respond conn ~id:0 (Frame.Err (Frame.E_too_large, msg));
-          stop := true;
-          continue := false
-    done
+          respond c ~id:0 (Frame.Err (Frame.E_too_large, msg));
+          c.phase <- Closing
+      | Frame.Frame (id, tag, payload) ->
+          (match Frame.parse_request ~tag payload with
+          | Error msg ->
+              count_proto_error ();
+              flush_reads ();
+              respond c ~id (Frame.Err (Frame.E_bad_request, msg))
+          | Ok req -> (
+              count_request req;
+              let t0 = if Telemetry.enabled () then Telemetry.now_ns () else -1 in
+              let ix = metric_ix req in
+              match req with
+              | Get _ | Mem _ ->
+                  reads := (id, t0, req) :: !reads;
+                  incr nreads;
+                  if !nreads >= max_read_burst then flush_reads ()
+              | Stats | Health ->
+                  flush_reads ();
+                  let resp = exec_safe lp.store req in
+                  observe_latency ix t0;
+                  respond c ~id resp
+              | Put _ | Add _ | Delete _ | Batch _ -> (
+                  flush_reads ();
+                  let reply resp =
+                    complete lp.core
+                      { c_conn = c.cid; c_id = id; c_op = ix; c_t0 = t0; c_resp = resp }
+                  in
+                  match mutation_job lp.store req reply with
+                  | Ok job -> start_job lp c job
+                  | Error resp ->
+                      observe_latency ix t0;
+                      respond c ~id resp)));
+          go ()
   in
-  while not !stop do
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
-    | 0 -> stop := true
-    | n ->
-        Frame.Decoder.feed dec buf 0 n;
-        drain_frames ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (err, _, _) ->
-        ignore err;
-        stop := true
-  done;
-  flush_reads ();
-  Bq.close conn.work
+  go ();
+  flush_reads ()
 
-let finish_conn t cid =
-  Mutex.lock t.sm;
-  Hashtbl.remove t.conns cid;
-  set_conn_gauge t;
-  Mutex.unlock t.sm
+(* ---- memcached-text protocol ----------------------------------------- *)
 
-(* ---- memcached-text listener ----------------------------------------- *)
+(* Frames are CRLF lines (bare LF tolerated), except the [set] data block,
+   which is an exact byte count.  Replies stay in command order because a
+   connection's next command is not parsed while a mutation of it is in
+   flight. *)
 
-(* Line-oriented reader with an explicit byte accumulator: memcached
-   frames are CRLF lines except the [set] data block, which is an exact
-   byte count. *)
-module Mc = struct
-  type r = {
-    fd : Unix.file_descr;
-    mutable buf : Bytes.t;
-    mutable len : int;
-    chunk : Bytes.t;
-  }
+let mc_reply (resp : Frame.response) =
+  match resp with
+  | Ack -> "STORED\r\n"
+  | Found true -> "DELETED\r\n"
+  | Found false -> "NOT_FOUND\r\n"
+  | Err (_, msg) -> Printf.sprintf "SERVER_ERROR %s\r\n" msg
+  | Value _ | Applied _ | Stats_r _ | Health_r _ -> "SERVER_ERROR unexpected reply\r\n"
 
-  let make fd = { fd; buf = Bytes.create 4096; len = 0; chunk = Bytes.create 4096 }
+let mc_get lp c keys =
+  List.iter
+    (fun k ->
+      if k <> "" && String.length k <= Frame.max_key_len then
+        match Sh.get lp.store k with
+        | Some v ->
+            let data = Int64.to_string v in
+            Printf.bprintf c.out "VALUE %s 0 %d\r\n%s\r\n" k (String.length data) data
+        | None ->
+            if Sh.mem lp.store k then Printf.bprintf c.out "VALUE %s 0 0\r\n\r\n" k)
+    keys;
+  Buffer.add_string c.out "END\r\n"
 
-  let refill r =
-    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-    | 0 -> false
-    | n ->
-        if r.len + n > Bytes.length r.buf then begin
-          let nb = Bytes.create (max (r.len + n) (2 * Bytes.length r.buf)) in
-          Bytes.blit r.buf 0 nb 0 r.len;
-          r.buf <- nb
-        end;
-        Bytes.blit r.chunk 0 r.buf r.len n;
-        r.len <- r.len + n;
-        true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-    | exception Unix.Unix_error (err, _, _) ->
-        ignore err;
-        false
+let mc_stats lp c =
+  let keys, bytes =
+    Sh.with_quiesced lp.store (fun stores ->
+        Array.fold_left
+          (fun (k, b) st ->
+            (k + Hyperion.Store.length st, b + Hyperion.Store.memory_usage st))
+          (0, 0) stores)
+  in
+  Printf.bprintf c.out
+    "STAT curr_items %d\r\nSTAT bytes %d\r\nSTAT threads %d\r\n\
+     STAT curr_connections %d\r\nEND\r\n"
+    keys bytes (Sh.shards lp.store) (Hashtbl.length lp.conns)
 
-  let consume r n =
-    Bytes.blit r.buf n r.buf 0 (r.len - n);
-    r.len <- r.len - n
+let mc_mutate lp c ~noreply req =
+  let reply resp =
+    complete lp.core
+      { c_conn = c.cid; c_id = (if noreply then 1 else 0); c_op = metric_ix req;
+        c_t0 = -1; c_resp = resp }
+  in
+  match mutation_job lp.store req reply with
+  | Ok job -> start_job lp c job
+  | Error resp -> if not noreply then Buffer.add_string c.out (mc_reply resp)
 
-  (* One text line without its terminator; tolerates bare LF. *)
-  let rec read_line r =
-    let nl = Bytes.index_opt (Bytes.sub r.buf 0 r.len) '\n' in
-    match nl with
-    | Some i ->
-        let stop = if i > 0 && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
-        let line = Bytes.sub_string r.buf 0 stop in
-        consume r (i + 1);
-        Some line
-    | None -> if refill r then read_line r else None
+(* The data block of [n] bytes at [at]: [Some consumed] once it and its
+   line terminator are buffered. *)
+let mc_block s at n =
+  let avail = String.length s - at in
+  if avail >= n + 2 && s.[at + n] = '\r' && s.[at + n + 1] = '\n' then Some (n + 2)
+  else if avail >= n + 1 && s.[at + n] = '\n' then Some (n + 1)
+  else if avail >= n + 2 then Some n
+  else None
 
-  (* Exactly [n] data bytes followed by (CR)LF. *)
-  let rec read_data r n =
-    if r.len >= n + 1 then begin
-      let data = Bytes.sub_string r.buf 0 n in
-      let skip =
-        if Bytes.get r.buf n = '\r' && r.len >= n + 2
-           && Bytes.get r.buf (n + 1) = '\n'
-        then n + 2
-        else if Bytes.get r.buf n = '\n' then n + 1
-        else n
+(* One command at [pos]: [Some next_pos] when it was complete. *)
+let mc_command lp c s pos =
+  match String.index_from_opt s pos '\n' with
+  | None -> None
+  | Some nl -> (
+      let stop = if nl > pos && s.[nl - 1] = '\r' then nl - 1 else nl in
+      let words =
+        String.split_on_char ' ' (String.trim (String.sub s pos (stop - pos)))
+        |> List.filter (fun w -> w <> "")
       in
-      consume r skip;
-      Some data
-    end
-    else if refill r then read_data r n
-    else None
-end
+      let say str = Buffer.add_string c.out str in
+      let after = nl + 1 in
+      match words with
+      | [] -> Some after
+      | "get" :: keys when keys <> [] ->
+          mc_get lp c keys;
+          Some after
+      | "set" :: k :: _flags :: _exptime :: nbytes :: rest -> (
+          let noreply = rest = [ "noreply" ] in
+          let say str = if not noreply then say str in
+          match int_of_string_opt nbytes with
+          | Some n when n >= 0 && n <= Frame.max_frame_len -> (
+              match mc_block s after n with
+              | None -> None
+              | Some used ->
+                  let data = String.sub s after n in
+                  (if k = "" || String.length k > Frame.max_key_len then
+                     say "CLIENT_ERROR bad key\r\n"
+                   else if data = "" then mc_mutate lp c ~noreply (Frame.Add k)
+                   else
+                     match Int64.of_string_opt (String.trim data) with
+                     | None ->
+                         say "CLIENT_ERROR value must be a decimal 64-bit integer\r\n"
+                     | Some v -> mc_mutate lp c ~noreply (Frame.Put (k, v)));
+                  Some (after + used))
+          | _ ->
+              say "CLIENT_ERROR bad data chunk\r\n";
+              Some after)
+      | "delete" :: k :: rest when rest = [] || rest = [ "noreply" ] ->
+          let noreply = rest <> [] in
+          if k = "" || String.length k > Frame.max_key_len then
+            (if not noreply then say "NOT_FOUND\r\n")
+          else mc_mutate lp c ~noreply (Frame.Delete k);
+          Some after
+      | [ "stats" ] ->
+          mc_stats lp c;
+          Some after
+      | [ "version" ] ->
+          say "VERSION hyperion-net 1.0\r\n";
+          Some after
+      | [ "quit" ] ->
+          c.phase <- Closing;
+          Some after
+      | _ ->
+          say "ERROR\r\n";
+          Some after)
 
-let mc_send fd s =
-  (* SAFETY: Bytes.unsafe_of_string aliases an immutable string that
-     write(2) only reads; the bytes are never mutated. *)
-  match write_all fd (Bytes.unsafe_of_string s) 0 (String.length s) with
+let parse_text lp c inb =
+  let s = Buffer.contents inb in
+  let rec go pos =
+    if is_open c && c.inflight = 0 then
+      match mc_command lp c s pos with Some next -> go next | None -> pos
+    else pos
+  in
+  let pos = go 0 in
+  if pos > 0 then begin
+    Buffer.clear inb;
+    Buffer.add_substring inb s pos (String.length s - pos)
+  end;
+  (* a client that never ends its line must not grow the buffer forever *)
+  if Buffer.length inb > Frame.max_frame_len + 4096 then c.phase <- Closing
+
+(* ---- the loop -------------------------------------------------------- *)
+
+let parse lp c =
+  match c.proto with Binary dec -> parse_binary lp c dec | Text inb -> parse_text lp c inb
+
+(* A failure the request handlers did not anticipate costs the one
+   connection, never the loop. *)
+let guarded lp c f =
+  match f () with
   | () -> ()
-  | exception Unix.Unix_error (err, _, _) -> ignore err
+  | exception exn ->
+      prerr_endline ("hyperion-net: dropping connection: " ^ Printexc.to_string exn);
+      drop lp c
 
-let mc_error_reply e =
-  Printf.sprintf "SERVER_ERROR %s\r\n" (E.to_string e)
+let deliver lp (cm : completion) =
+  match Hashtbl.find_opt lp.conns cm.c_conn with
+  | None -> ()  (* the connection is gone: the answer is discarded *)
+  | Some c ->
+      c.inflight <- c.inflight - 1;
+      match c.proto with
+      | Binary _ ->
+          observe_latency cm.c_op cm.c_t0;
+          respond c ~id:cm.c_id cm.c_resp
+      | Text inb ->
+          if cm.c_id = 0 then Buffer.add_string c.out (mc_reply cm.c_resp);
+          (* the next command waited for this answer *)
+          guarded lp c (fun () -> parse_text lp c inb)
 
-let mc_loop t fd =
-  let r = Mc.make fd in
-  let reply = Buffer.create 256 in
-  let running = ref true in
-  while !running do
-    Buffer.clear reply;
-    match Mc.read_line r with
-    | None -> running := false
-    | Some line -> (
-        let words =
-          String.split_on_char ' ' (String.trim line)
-          |> List.filter (fun w -> w <> "")
-        in
-        match words with
-        | [] -> ()
-        | "get" :: keys when keys <> [] ->
-            List.iter
-              (fun k ->
-                if k <> "" && String.length k <= Frame.max_key_len then
-                  match Sh.get t.store k with
-                  | Some v ->
-                      let data = Int64.to_string v in
-                      Buffer.add_string reply
-                        (Printf.sprintf "VALUE %s 0 %d\r\n%s\r\n" k
-                           (String.length data) data)
-                  | None ->
-                      if Sh.mem t.store k then
-                        Buffer.add_string reply
-                          (Printf.sprintf "VALUE %s 0 0\r\n\r\n" k))
-              keys;
-            Buffer.add_string reply "END\r\n";
-            mc_send fd (Buffer.contents reply)
-        | "set" :: k :: _flags :: _exptime :: nbytes :: rest -> (
-            let noreply = rest = [ "noreply" ] in
-            let say s = if not noreply then mc_send fd s in
-            match int_of_string_opt nbytes with
-            | None -> say "CLIENT_ERROR bad data chunk\r\n"
-            | Some n when n < 0 || n > Frame.max_frame_len ->
-                say "CLIENT_ERROR bad data chunk\r\n"
-            | Some n -> (
-                match Mc.read_data r n with
-                | None -> running := false
-                | Some data ->
-                    if k = "" || String.length k > Frame.max_key_len then
-                      say "CLIENT_ERROR bad key\r\n"
-                    else if data = "" then (
-                      match Sh.add_result t.store k with
-                      | Ok () -> say "STORED\r\n"
-                      | Error e -> say (mc_error_reply e))
-                    else (
-                      match Int64.of_string_opt (String.trim data) with
-                      | None ->
-                          say
-                            "CLIENT_ERROR value must be a decimal 64-bit \
-                             integer\r\n"
-                      | Some v -> (
-                          match Sh.put_result t.store k v with
-                          | Ok () -> say "STORED\r\n"
-                          | Error e -> say (mc_error_reply e)))))
-        | "delete" :: k :: rest when rest = [] || rest = [ "noreply" ] -> (
-            let say s = if rest = [] then mc_send fd s in
-            if k = "" || String.length k > Frame.max_key_len then
-              say "NOT_FOUND\r\n"
-            else
-              match Sh.delete_result t.store k with
-              | Ok true -> say "DELETED\r\n"
-              | Ok false -> say "NOT_FOUND\r\n"
-              | Error e -> say (mc_error_reply e))
-        | [ "stats" ] ->
-            let keys, bytes =
-              Sh.with_quiesced t.store (fun stores ->
-                  Array.fold_left
-                    (fun (k, b) st ->
-                      ( k + Hyperion.Store.length st,
-                        b + Hyperion.Store.memory_usage st ))
-                    (0, 0) stores)
-            in
-            Buffer.add_string reply
-              (Printf.sprintf "STAT curr_items %d\r\n" keys);
-            Buffer.add_string reply (Printf.sprintf "STAT bytes %d\r\n" bytes);
-            Buffer.add_string reply
-              (Printf.sprintf "STAT threads %d\r\n" (Sh.shards t.store));
-            Buffer.add_string reply
-              (Printf.sprintf "STAT curr_connections %d\r\n"
-                 (Mutex.lock t.sm;
-                  let n = Hashtbl.length t.conns in
-                  Mutex.unlock t.sm;
-                  n));
-            Buffer.add_string reply "END\r\n";
-            mc_send fd (Buffer.contents reply)
-        | [ "version" ] -> mc_send fd "VERSION hyperion-net 1.0\r\n"
-        | [ "quit" ] -> running := false
-        | _ -> mc_send fd "ERROR\r\n")
-  done;
-  quiet_close fd
+let unpark lp c =
+  match c.phase with
+  | Parked job ->
+      if Sh.submit job then begin
+        c.phase <- Open;
+        guarded lp c (fun () -> parse lp c)
+      end
+  | Open | Closing | Closed -> ()
 
-(* ---- accept / lifecycle ---------------------------------------------- *)
+let next_cid = Atomic.make 0
 
-let spawn_binary_conn t fd =
-  Mutex.lock t.sm;
-  if t.stopping || Hashtbl.length t.conns >= t.cfg.max_connections then begin
-    Mutex.unlock t.sm;
-    quiet_close fd
-  end
-  else begin
-    let cid = t.next_conn in
-    t.next_conn <- cid + 1;
-    let nworkers = max 1 t.cfg.workers_per_conn in
-    let conn =
-      {
-        fd;
-        work = Bq.create ();
-        out = Bq.create ();
-        wm = Mutex.create ();
-        live_workers = nworkers;
-      }
-    in
-    let workers =
-      List.init nworkers (fun _ ->
-          Thread.create (fun () -> worker_loop t conn) ())
-    in
-    let writer = Thread.create (fun () -> writer_loop conn) () in
-    let reader =
-      Thread.create
-        (fun () ->
-          reader_loop t conn;
-          (* reader closed the work queue; workers drain then seal [out];
-             writer flushes and closes the fd.  Join them so the conn's
-             registry entry outlives all its threads. *)
-          List.iter Thread.join workers;
-          Thread.join writer;
-          finish_conn t cid)
-        ()
-    in
-    Hashtbl.replace t.conns cid (conn, reader :: writer :: workers);
-    set_conn_gauge t;
-    Mutex.unlock t.sm
-  end
-
-let spawn_mc_conn t fd =
-  Mutex.lock t.sm;
-  if t.stopping || Hashtbl.length t.conns >= t.cfg.max_connections then begin
-    Mutex.unlock t.sm;
-    quiet_close fd
-  end
-  else begin
-    let cid = t.next_conn in
-    t.next_conn <- cid + 1;
-    let conn =
-      { fd; work = Bq.create (); out = Bq.create (); wm = Mutex.create ();
-        live_workers = 0 }
-    in
-    let th =
-      Thread.create
-        (fun () ->
-          mc_loop t fd;
-          finish_conn t cid)
-        ()
-    in
-    Hashtbl.replace t.conns cid (conn, [ th ]);
-    set_conn_gauge t;
-    Mutex.unlock t.sm
-  end
-
-let acceptor_loop t sock spawn =
-  let running = ref true in
-  while !running do
+let accept lp (sock, text) =
+  let rec go () =
     match Unix.accept ~cloexec:true sock with
-    | fd, _ -> spawn t fd
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (err, _, _) ->
-        (* the listener was closed by [stop] (EBADF/EINVAL) or is beyond
-           recovery; either way the accept loop is done *)
-        ignore err;
-        running := false
-  done
+    | exception Unix.Unix_error (e, _, _) ->
+        (* EAGAIN: the backlog is empty; anything else (EMFILE, an aborted
+           handshake) is retried on the next readiness *)
+        ignore e
+    | fd, _ ->
+        if Atomic.get lp.core.stopping || Hashtbl.length lp.conns >= lp.cfg.max_connections
+        then quiet_close fd
+        else begin
+          Unix.set_nonblock fd;
+          Unix.setsockopt fd Unix.TCP_NODELAY true;
+          let cid = Atomic.fetch_and_add next_cid 1 in
+          Hashtbl.replace lp.conns cid
+            {
+              cid;
+              fd;
+              proto =
+                (if text then Text (Buffer.create 256)
+                 else Binary (Frame.Decoder.create ()));
+              out = Buffer.create 256;
+              inflight = 0;
+              phase = Open;
+            };
+          note_conns lp
+        end;
+        go ()
+  in
+  go ()
+
+let read lp c =
+  match Unix.read c.fd lp.rbuf 0 (Bytes.length lp.rbuf) with
+  | 0 -> c.phase <- Closing
+  | n ->
+      (match c.proto with
+      | Binary dec -> Frame.Decoder.feed dec lp.rbuf 0 n
+      | Text inb -> Buffer.add_subbytes inb lp.rbuf 0 n);
+      guarded lp c (fun () -> parse lp c)
+  | exception Unix.Unix_error (e, _, _) -> if not (would_block e) then c.phase <- Closing
+
+(* Everything answered this turn leaves in one write per connection. *)
+let write lp c =
+  let n = Buffer.length c.out in
+  if n > 0 && not (is_closed c) then
+    match Unix.single_write_substring c.fd (Buffer.contents c.out) 0 n with
+    | w ->
+        let rest = Buffer.sub c.out w (n - w) in
+        Buffer.clear c.out;
+        Buffer.add_string c.out rest
+    | exception Unix.Unix_error (e, _, _) -> if not (would_block e) then drop lp c
+
+let snapshot lp = Array.of_seq (Hashtbl.to_seq_values lp.conns)
+
+let turn lp =
+  let stopping = Atomic.get lp.core.stopping in
+  let listeners = if stopping then [] else lp.listeners in
+  let conns = snapshot lp in
+  let nl = 1 + List.length listeners in
+  let n = nl + Array.length conns in
+  let fds = Array.make n lp.core.wake_r and flags = Array.make n want_read in
+  List.iteri (fun i (s, _) -> fds.(i + 1) <- s) listeners;
+  let parked = ref false in
+  Array.iteri
+    (fun i c ->
+      let out = Buffer.length c.out in
+      fds.(nl + i) <- c.fd;
+      flags.(nl + i) <-
+        (match c.phase with
+        | Open when out < max_out -> want_read
+        | Parked _ ->
+            parked := true;
+            0
+        | Open | Closing | Closed -> 0)
+        lor if out > 0 then want_write else 0)
+    conns;
+  (* a parked mutation is retried every millisecond, as the blocking
+     front door polls a full mailbox *)
+  ignore (poll fds flags n (if stopping || !parked then 1 else -1));
+  let ready i = flags.(i) land want_read <> 0 in
+  if ready 0 then drain_wake lp.core;
+  List.iter (deliver lp) (take_completions lp.core);
+  if !parked then Array.iter (unpark lp) conns;
+  List.iteri (fun i l -> if ready (i + 1) then accept lp l) listeners;
+  Array.iteri (fun i c -> if ready (nl + i) && is_open c then read lp c) conns;
+  Array.iter
+    (fun c ->
+      write lp c;
+      match c.phase with
+      | Closing when c.inflight = 0 && Buffer.length c.out = 0 -> drop lp c
+      | Open | Parked _ | Closing | Closed -> ())
+    conns;
+  if Telemetry.enabled () then
+    Telemetry.Gauge.set g_inflight (Atomic.get lp.core.outstanding)
+
+let run lp =
+  while not (Atomic.get lp.core.stopping) do
+    turn lp
+  done;
+  List.iter (fun (s, _) -> quiet_close s) lp.listeners;
+  (* read no more, and let the mutations already in the shards answer; a
+     parked mutation was never queued and goes with its connection *)
+  Array.iter
+    (fun c ->
+      match c.phase with
+      | Parked _ -> drop lp c
+      | Open -> c.phase <- Closing
+      | Closing | Closed -> ())
+    (snapshot lp);
+  while Atomic.get lp.core.outstanding > 0 do
+    turn lp
+  done;
+  Array.iter
+    (fun c ->
+      write lp c;
+      drop lp c)
+    (snapshot lp)
+
+(* ---- lifecycle ------------------------------------------------------- *)
+
+type t = {
+  core : core;
+  bin_port : int;
+  mc_port : int option;
+  thread : Thread.t;
+}
 
 let listen_on ~host ~port =
-  let addr = Unix.inet_addr_of_string host in
   let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (addr, port));
-    Unix.listen sock 128;
+    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    Unix.listen sock 1024;
+    Unix.set_nonblock sock;
     Unix.getsockname sock
   with
   | Unix.ADDR_INET (_, bound) -> Ok (sock, bound)
   | Unix.ADDR_UNIX _ ->
       quiet_close sock;
       Error "unexpected unix-domain listener"
-  | exception Unix.Unix_error (err, fn, _) ->
+  | exception Unix.Unix_error (e, fn, _) ->
       quiet_close sock;
       Error
         (Printf.sprintf "cannot listen on %s:%d: %s (%s)" host port
-           (Unix.error_message err) fn)
+           (Unix.error_message e) fn)
 
 let start ?(config = default_config) store =
-  if config.workers_per_conn < 1 || config.workers_per_conn > 64 then
-    Error "workers_per_conn must be in [1, 64]"
-  else if config.max_connections < 1 then Error "max_connections must be >= 1"
+  if config.max_connections < 1 then Error "max_connections must be >= 1"
   else begin
     (* a peer that disappears mid-write must surface as EPIPE, not kill
        the process *)
     (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
     | _old -> ()
     | exception Invalid_argument msg -> ignore msg);
-    match listen_on ~host:config.host ~port:config.port with
-    | Error _ as e -> e
-    | Ok (bin_sock, bin_port) -> (
-        let mc =
-          match config.memcached_port with
-          | None -> Ok None
-          | Some p -> (
-              match listen_on ~host:config.host ~port:p with
-              | Ok (s, bound) -> Ok (Some (s, bound))
-              | Error _ as e ->
-                  quiet_close bin_sock;
-                  (match e with Error m -> Error m | Ok _ -> Error "unreachable"))
-        in
-        match mc with
-        | Error m -> Error m
-        | Ok mc ->
-            let t =
-              {
-                store;
-                cfg = config;
-                bin_sock;
-                bin_port;
-                mc_sock = Option.map fst mc;
-                mc_port = Option.map snd mc;
-                sm = Mutex.create ();
-                conns = Hashtbl.create 64;
-                next_conn = 0;
-                stopping = false;
-                acceptors = [];
-              }
-            in
-            let acc =
-              Thread.create
-                (fun () -> acceptor_loop t bin_sock spawn_binary_conn)
-                ()
-            in
-            let accs =
-              match t.mc_sock with
-              | None -> [ acc ]
-              | Some s ->
-                  let a =
-                    Thread.create (fun () -> acceptor_loop t s spawn_mc_conn) ()
-                  in
-                  [ acc; a ]
-            in
-            t.acceptors <- accs;
-            Ok t)
+    let ( let* ) = Result.bind in
+    let* bin = listen_on ~host:config.host ~port:config.port in
+    let* mc =
+      match config.memcached_port with
+      | None -> Ok None
+      | Some port -> (
+          match listen_on ~host:config.host ~port with
+          | Ok l -> Ok (Some l)
+          | Error _ as e ->
+              quiet_close (fst bin);
+              e)
+    in
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_r;
+    Unix.set_nonblock wake_w;
+    let core =
+      {
+        wake_r;
+        wake_w;
+        cq_m = Mutex.create ();
+        cq = [];
+        woken = false;
+        outstanding = Atomic.make 0;
+        open_conns = Atomic.make 0;
+        stopping = Atomic.make false;
+      }
+    in
+    let lp =
+      {
+        core;
+        store;
+        cfg = config;
+        listeners =
+          (fst bin, false) :: (match mc with Some (s, _) -> [ (s, true) ] | None -> []);
+        conns = Hashtbl.create 64;
+        rbuf = Bytes.create 65536;
+      }
+    in
+    Ok
+      {
+        core;
+        bin_port = snd bin;
+        mc_port = Option.map snd mc;
+        thread = Thread.create run lp;
+      }
   end
 
 let port t = t.bin_port
 let memcached_port t = t.mc_port
-
-let connections t =
-  Mutex.lock t.sm;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.sm;
-  n
+let connections t = Atomic.get t.core.open_conns
 
 let stop t =
-  Mutex.lock t.sm;
-  let already = t.stopping in
-  t.stopping <- true;
-  let conn_threads =
-    Hashtbl.fold (fun _ (conn, ths) acc -> (conn, ths) :: acc) t.conns []
-  in
-  Mutex.unlock t.sm;
-  if not already then begin
-    (* shutdown() first: on Linux, close() alone does not wake a thread
-       blocked in accept(2), shutdown does (the accept fails) *)
-    quiet_shutdown t.bin_sock;
-    quiet_close t.bin_sock;
-    (match t.mc_sock with
-    | Some s ->
-        quiet_shutdown s;
-        quiet_close s
-    | None -> ());
-    List.iter Thread.join t.acceptors;
-    (* shut connections down: readers see EOF, pipelines drain, writers
-       flush and close *)
-    List.iter (fun (conn, _) -> quiet_shutdown conn.fd) conn_threads;
-    List.iter (fun (_, ths) -> List.iter Thread.join ths) conn_threads;
+  if not (Atomic.exchange t.core.stopping true) then begin
+    wake t.core;
+    Thread.join t.thread;
+    (* the loop left only once every armed callback had returned, so
+       nothing can write to the pipe any more *)
+    quiet_close t.core.wake_r;
+    quiet_close t.core.wake_w;
     if Telemetry.enabled () then Telemetry.Gauge.set g_conns 0
   end

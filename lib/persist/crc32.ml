@@ -1,20 +1,21 @@
 (* Reflected CRC-32 with polynomial 0xEDB88320 (IEEE 802.3). *)
 
+(* Built eagerly at module initialisation: a lazy table forced by several
+   domains at once (parallel shard recovery in a fresh process) can raise
+   [CamlinternalLazy.Undefined] in all but one of them. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let bytes ?(crc = 0l) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.bytes";
-  let table = Lazy.force table in
   let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
   for i = pos to pos + len - 1 do
     let idx =

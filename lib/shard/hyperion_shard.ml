@@ -41,7 +41,10 @@ let c_overloads =
     ~help:"Mutations rejected because a shard mailbox stayed full past the \
            enqueue deadline"
 
-(* --- one-shot synchronisation cell (per-request promise) -------------- *)
+(* --- one-shot synchronisation cell ------------------------------------ *)
+
+(* The blocking front door waits on one of these; the worker fills it
+   from the request's completion callback. *)
 
 module Ivar = struct
   type 'a t = {
@@ -52,8 +55,7 @@ module Ivar = struct
 
   let create () = { m = Mutex.create (); c = Condition.create (); v = None }
 
-  (* Idempotent: the first fill wins.  Worker cleanup may fail a message
-     whose handler already filled its ivar before raising. *)
+  (* Idempotent: the first fill wins. *)
   let fill t v =
     Mutex.lock t.m;
     if t.v = None then begin
@@ -93,10 +95,12 @@ type barrier = {
    any unexpected worker exception. *)
 exception Injected_worker_crash of string
 
+(* Mutations carry their completion callback, which the worker calls
+   exactly once with the outcome. *)
 type msg =
-  | Mut of op * (bool, E.t) result Ivar.t
+  | Mut of op * ((bool, E.t) result -> unit)
       (** one mutation; the bool is [Delete]'s "was present" *)
-  | Batched of op array * (int * E.t option) Ivar.t
+  | Batched of op array * (int * E.t option -> unit)
       (** a per-shard batch slice; the int counts the applied prefix, the
           error (if any) is what stopped it *)
   | Quiesce of barrier
@@ -127,46 +131,36 @@ let mailbox_create cap =
     stopping = false;
   }
 
-type send_result = Sent | Mailbox_closed | Enqueue_timeout
+type send_result = Sent | Full | Mailbox_closed
 
-(* [timeout_ns <= 0] waits forever.  The stdlib has no timed condvar wait,
-   so a full mailbox is waited out by unlock/sleep/relock polling with a
-   doubling backoff — overload is the rare path, and a healthy worker
-   drains whole backlogs at once, so the poll cost is invisible next to
-   the full ring it is waiting on. *)
-let send mb msg ~timeout_ns =
-  let deadline = if timeout_ns <= 0 then max_int else T.now_ns () + timeout_ns in
-  let cap = Array.length mb.ring in
-  let backoff = ref 5e-5 in
-  (* the lock is taken before [wait] is even defined so the whole retry
-     loop is lexically a critical section (racecheck's guarded-by rule);
-     the full-ring path drops it across the backoff sleep *)
+(* Never blocks: a full ring is the caller's to wait out (see
+   [retry_with_backoff]) or to report. *)
+let try_send mb msg =
   Mutex.lock mb.mm;
-  let rec wait () =
-    if not mb.accepting then begin
-      Mutex.unlock mb.mm;
-      Mailbox_closed
-    end
-    else if mb.len < cap then begin
+  let cap = Array.length mb.ring in
+  let r =
+    if not mb.accepting then Mailbox_closed
+    else if mb.len >= cap then Full
+    else begin
       mb.ring.((mb.head + mb.len) mod cap) <- Some msg;
       mb.len <- mb.len + 1;
       Condition.signal mb.not_empty;
-      Mutex.unlock mb.mm;
       Sent
     end
-    else if T.now_ns () >= deadline then begin
-      Mutex.unlock mb.mm;
-      Enqueue_timeout
-    end
-    else begin
-      Mutex.unlock mb.mm;
-      Unix.sleepf !backoff;
-      backoff := Float.min 1e-3 (!backoff *. 2.);
-      Mutex.lock mb.mm;
-      wait ()
-    end
   in
-  wait ()
+  Mutex.unlock mb.mm;
+  r
+
+(* Blocking callers wait out a full mailbox by polling [f] with a doubling
+   sleep: the stdlib has no timed condvar wait, overload is the rare path,
+   and a healthy worker drains whole backlogs at once, so the poll cost is
+   invisible next to the full ring it is waiting on. *)
+let retry_with_backoff f =
+  let backoff = ref 5e-5 in
+  while not (f ()) do
+    Unix.sleepf !backoff;
+    backoff := Float.min 1e-3 (!backoff *. 2.)
+  done
 
 (* Drain the whole backlog in one lock acquisition; [None] = shut down. *)
 let drain mb =
@@ -316,25 +310,40 @@ let participate b =
   done;
   Mutex.unlock b.bm
 
+(* Handle [msg] up to, not including, its reply; the returned thunk sends
+   the reply.  Supervision relies on the split: a message that raised
+   before replying is failed, one whose reply already went out is not. *)
+let perform sh = function
+  | Mut (op, k) ->
+      let r = apply_op sh op in
+      fun () -> k r
+  | Batched (ops, k) ->
+      if T.enabled () then T.Histogram.observe_ns m_batch (Array.length ops);
+      let n = Array.length ops in
+      let rec go i =
+        if i >= n then (i, None)
+        else
+          match apply_op sh ops.(i) with
+          | Ok _ -> go (i + 1)
+          | Error e -> (i, Some e)
+      in
+      let outcome = go 0 in
+      fun () -> k outcome
+  | Quiesce b ->
+      participate b;
+      ignore
+  | Poison reason -> raise (Injected_worker_crash reason)
+
+(* Answer a message that will never be handled. *)
+let fail_msg e = function
+  | Mut (_, k) -> k (Error e)
+  | Batched (_, k) -> k (0, Some e)
+  | Quiesce b -> participate b
+  | Poison _ -> ()
+
 let worker sh () =
-  let handle = function
-    | Mut (op, iv) -> Ivar.fill iv (apply_op sh op)
-    | Batched (ops, iv) ->
-        if T.enabled () then T.Histogram.observe_ns m_batch (Array.length ops);
-        let n = Array.length ops in
-        let rec go i applied =
-          if i >= n then Ivar.fill iv (applied, None)
-          else
-            match apply_op sh ops.(i) with
-            | Ok _ -> go (i + 1) (applied + 1)
-            | Error e -> Ivar.fill iv (applied, Some e)
-        in
-        go 0 0
-    | Quiesce b -> participate b
-    | Poison reason -> raise (Injected_worker_crash reason)
-  in
   (* Supervision: an unexpected exception must never strand a client.
-     The dying worker marks itself unhealthy, fails every pending promise
+     The dying worker marks itself unhealthy, fails every pending request
      with a typed [Shard_down], still takes quiesce barriers it already
      received (a quiesced reader must not hang on a shard it posted to),
      seals its mailbox, and exits.  Siblings keep serving; the shard can
@@ -343,14 +352,7 @@ let worker sh () =
     let reason = Printexc.to_string exn in
     Atomic.set sh.health (Some reason);
     if T.enabled () then T.Counter.incr c_worker_crashes;
-    let fail_one = function
-      | Mut (_, iv) -> Ivar.fill iv (Error (E.Shard_down reason))
-      | Batched (_, iv) -> Ivar.fill iv (0, Some (E.Shard_down reason))
-      | Quiesce b -> participate b
-      | Poison _ -> ()
-    in
-    (* the message that raised first: its promise may be unfilled (fill is
-       idempotent, so a message that half-completed is safe to fail) *)
+    let fail_one = fail_msg (E.Shard_down reason) in
     for j = from to Array.length msgs - 1 do
       fail_one msgs.(j)
     done;
@@ -377,8 +379,9 @@ let worker sh () =
         let i = ref 0 in
         (try
            while !i < Array.length msgs do
-             handle msgs.(!i);
-             incr i
+             let reply = perform sh msgs.(!i) in
+             incr i;
+             reply ()
            done
          with exn -> cleanup exn msgs !i);
         if Atomic.get sh.health = None then begin
@@ -631,55 +634,106 @@ let open_durable ?(config = H.Config.default) ?compress ?shards ?sync_every_ops
 
 let closed_error t = E.Io_error ((if durable t then "durable " else "") ^ "sharded store closed")
 
-(* Enqueue with supervision semantics: a dead worker yields [Shard_down],
-   a full mailbox past the deadline yields [Overloaded], and a mailbox
-   sealed by a concurrent restart is retried against the replacement. *)
-let rec submit_msg t sh msg =
+type posted = Posted | Refused of E.t | No_room
+
+(* Enqueue with supervision semantics: a dead worker refuses with
+   [Shard_down], and a mailbox sealed by a concurrent restart is retried
+   against the replacement. *)
+let rec post t sh msg =
   match Atomic.get sh.health with
-  | Some reason -> Error (E.Shard_down reason)
+  | Some reason -> Refused (E.Shard_down reason)
   | None -> (
       let mb = sh.mb in
-      match send mb msg ~timeout_ns:t.enqueue_timeout_ns with
-      | Sent -> Ok ()
-      | Enqueue_timeout ->
-          if T.enabled () then T.Counter.incr c_overloads;
-          Error
-            (E.Overloaded
-               (Printf.sprintf "shard %d mailbox stayed full past the deadline"
-                  sh.id))
+      match try_send mb msg with
+      | Sent -> Posted
+      | Full -> No_room
       | Mailbox_closed -> (
           match Atomic.get sh.health with
-          | Some reason -> Error (E.Shard_down reason)
+          | Some reason -> Refused (E.Shard_down reason)
           | None ->
-              if t.closed then Error (closed_error t)
-              else if sh.mb != mb then submit_msg t sh msg
-              else Error (closed_error t)))
+              if t.closed then Refused (closed_error t)
+              else if sh.mb != mb then post t sh msg
+              else Refused (closed_error t)))
 
-let submit t ekey op =
-  let sh = t.tab.(shard_of_encoded t ekey) in
+let overloaded sh =
+  if T.enabled () then T.Counter.incr c_overloads;
+  E.Overloaded
+    (Printf.sprintf "shard %d mailbox stayed full past the deadline" sh.id)
+
+(* --- non-blocking submission ------------------------------------------ *)
+
+(* A job is a list of parts, submitted in order: messages for a shard
+   mailbox, or replies that need no worker (a key rejected at the front
+   door, an empty batch). *)
+type part = Post of int * msg | Inline of (unit -> unit)
+
+type job = {
+  owner : t;
+  parts : part array;
+  mutable sent : int;  (* parts already queued or answered *)
+  mutable full_since : int;  (* ns when a mailbox was first found full; -1 *)
+}
+
+let job owner parts = { owner; parts; sent = 0; full_since = -1 }
+
+let submit j =
+  let t = j.owner in
+  let next () = j.sent <- j.sent + 1 in
+  let rec go () =
+    if j.sent >= Array.length j.parts then true
+    else
+      match j.parts.(j.sent) with
+      | Inline reply ->
+          next ();
+          reply ();
+          go ()
+      | Post (s, msg) -> (
+          let sh = t.tab.(s) in
+          match post t sh msg with
+          | Posted ->
+              next ();
+              go ()
+          | Refused e ->
+              next ();
+              fail_msg e msg;
+              go ()
+          | No_room ->
+              let now = T.now_ns () in
+              if j.full_since < 0 then j.full_since <- now;
+              if t.enqueue_timeout_ns > 0
+                 && now - j.full_since >= t.enqueue_timeout_ns
+              then begin
+                next ();
+                fail_msg (overloaded sh) msg;
+                go ()
+              end
+              else false)
+  in
+  go ()
+
+let mut_job t key op k =
+  match front_key t.enc key with
+  | Error e -> job t [| Inline (fun () -> k (Error e)) |]
+  | Ok ek -> job t [| Post (shard_of_encoded t ek, Mut (op ek, k)) |]
+
+let unit_reply k = function Ok _ -> k (Ok ()) | Error e -> k (Error e)
+let put_job t key v k = mut_job t key (fun ek -> Put (ek, v)) (unit_reply k)
+let add_job t key k = mut_job t key (fun ek -> Add ek) (unit_reply k)
+let delete_job t key k = mut_job t key (fun ek -> Delete ek) k
+
+(* --- blocking operations ---------------------------------------------- *)
+
+(* The blocking front door: submit, waiting out full mailboxes, then wait
+   for the worker's reply. *)
+let await make =
   let iv = Ivar.create () in
-  match submit_msg t sh (Mut (op, iv)) with
-  | Ok () -> Ivar.read iv
-  | Error _ as e -> e
+  let j = make (Ivar.fill iv) in
+  retry_with_backoff (fun () -> submit j);
+  Ivar.read iv
 
-let put_result t key v =
-  match front_key t.enc key with
-  | Error e -> Error e
-  | Ok ek -> (
-      match submit t ek (Put (ek, v)) with
-      | Ok _ -> Ok ()
-      | Error _ as e -> e)
-
-let add_result t key =
-  match front_key t.enc key with
-  | Error e -> Error e
-  | Ok ek -> (
-      match submit t ek (Add ek) with Ok _ -> Ok () | Error _ as e -> e)
-
-let delete_result t key =
-  match front_key t.enc key with
-  | Error e -> Error e
-  | Ok ek -> submit t ek (Delete ek)
+let put_result t key v = await (put_job t key v)
+let add_result t key = await (add_job t key)
+let delete_result t key = await (delete_job t key)
 
 let ok_or_raise = function Ok v -> v | Error e -> E.fail e
 
@@ -793,43 +847,53 @@ module Batch = struct
     push b ek (Delete ek)
   let length b = b.count
 
-  let flush_report b =
-    if b.count = 0 then []
-    else begin
-      let waits = ref [] in
-      Array.iteri
-        (fun i ops ->
-          if ops <> [] then begin
-            let slice = Array.of_list (List.rev ops) in
-            b.pending.(i) <- [];
-            let iv = Ivar.create () in
-            let cell =
-              match submit_msg b.owner b.owner.tab.(i) (Batched (slice, iv)) with
-              | Ok () -> (i, Array.length slice, Ok iv)
-              | Error e -> (i, Array.length slice, Error e)
-            in
-            waits := cell :: !waits
-          end)
-        b.pending;
-      b.count <- 0;
-      (* waits is in reverse shard order; rev_map restores ascending *)
-      List.rev_map
-        (fun (i, ops, cell) ->
-          match cell with
-          | Ok iv ->
-              let applied, err = Ivar.read iv in
-              { fr_shard = i; fr_ops = ops; fr_applied = applied; fr_error = err }
-          | Error e ->
-              { fr_shard = i; fr_ops = ops; fr_applied = 0; fr_error = Some e })
-        !waits
-    end
+  (* One [Batched] part per involved shard, in ascending shard order.
+     Each slice's reply fills its own report slot; the last one to land
+     hands the whole report to [k]. *)
+  let job b k =
+    let slices = ref [] in
+    for i = Array.length b.pending - 1 downto 0 do
+      if b.pending.(i) <> [] then begin
+        slices := (i, Array.of_list (List.rev b.pending.(i))) :: !slices;
+        b.pending.(i) <- []
+      end
+    done;
+    b.count <- 0;
+    match !slices with
+    | [] -> job b.owner [| Inline (fun () -> k []) |]
+    | slices ->
+        let slices = Array.of_list slices in
+        let reports =
+          Array.map
+            (fun (i, ops) ->
+              { fr_shard = i; fr_ops = Array.length ops; fr_applied = 0;
+                fr_error = None })
+            slices
+        in
+        let left = Atomic.make (Array.length slices) in
+        job b.owner
+          (Array.mapi
+             (fun slot (i, ops) ->
+               Post
+                 ( i,
+                   Batched
+                     ( ops,
+                       fun (applied, err) ->
+                         reports.(slot) <-
+                           { (reports.(slot)) with fr_applied = applied;
+                             fr_error = err };
+                         if Atomic.fetch_and_add left (-1) = 1 then
+                           k (Array.to_list reports) ) ))
+             slices)
 
-  let flush b =
-    let report = flush_report b in
-    let applied = List.fold_left (fun acc r -> acc + r.fr_applied) 0 report in
+  let flush_report b = await (job b)
+
+  let outcome report =
     match List.find_map (fun r -> r.fr_error) report with
     | Some e -> Error e
-    | None -> Ok applied
+    | None -> Ok (List.fold_left (fun acc r -> acc + r.fr_applied) 0 report)
+
+  let flush b = outcome (flush_report b)
 end
 
 (* --- quiescence barrier ----------------------------------------------- *)
@@ -846,15 +910,17 @@ let with_quiesced t f =
     in
     let t0 = if T.enabled () then T.now_ns () else 0 in
     (* dead shards return [Mailbox_closed] and are simply not counted:
-       their stores are frozen, which is as quiescent as it gets.  The
-       send never times out (timeout 0 = infinite) — skipping a live
-       shard's barrier would break the consistent cut. *)
+       their stores are frozen, which is as quiescent as it gets.  A full
+       mailbox is waited out with no deadline — skipping a live shard's
+       barrier would break the consistent cut. *)
     let posted =
       Array.fold_left
         (fun n sh ->
-          match send sh.mb (Quiesce b) ~timeout_ns:0 with
-          | Sent -> n + 1
-          | Mailbox_closed | Enqueue_timeout -> n)
+          let r = ref Mailbox_closed in
+          retry_with_backoff (fun () ->
+              r := try_send sh.mb (Quiesce b);
+              !r <> Full);
+          if !r = Sent then n + 1 else n)
         0 t.tab
     in
     Fun.protect
@@ -1005,9 +1071,15 @@ let restart_shard t i =
 let poison t ~shard ~reason =
   if shard < 0 || shard >= Array.length t.tab then
     invalid_arg "Hyperion_shard.poison: shard index out of range";
-  match submit_msg t t.tab.(shard) (Poison reason) with
-  | Ok () -> true
-  | Error _ -> false
+  let accepted = ref false in
+  retry_with_backoff (fun () ->
+      match post t t.tab.(shard) (Poison reason) with
+      | Posted ->
+          accepted := true;
+          true
+      | Refused _ -> true
+      | No_room -> false);
+  !accepted
 
 (* --- durability control ----------------------------------------------- *)
 

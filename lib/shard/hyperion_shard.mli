@@ -146,6 +146,37 @@ val put_result : t -> string -> int64 -> (unit, Hyperion.Hyperion_error.t) resul
 val add_result : t -> string -> (unit, Hyperion.Hyperion_error.t) result
 val delete_result : t -> string -> (bool, Hyperion.Hyperion_error.t) result
 
+(** {1 Non-blocking submission}
+
+    The blocking mutations above are built on these.  A {!job} binds a
+    mutation (or a whole {!Batch}, see {!Batch.job}) to a completion
+    callback; {!submit} moves it into the owning shard mailboxes without
+    ever blocking, and the callback then receives exactly the result the
+    blocking call would have returned, with the same supervision
+    guarantees (pending work of a dying worker fails with [Shard_down]).
+    An event loop uses this to keep many mutations in flight from one
+    thread. *)
+
+type job
+
+val put_job : t -> string -> int64 -> ((unit, Hyperion.Hyperion_error.t) result -> unit) -> job
+val add_job : t -> string -> ((unit, Hyperion.Hyperion_error.t) result -> unit) -> job
+val delete_job : t -> string -> ((bool, Hyperion.Hyperion_error.t) result -> unit) -> job
+
+val submit : job -> bool
+(** Queue as much of the job as the mailboxes have room for; never
+    blocks.  [true]: nothing is left to queue, and the callback runs
+    exactly once — on the shard's worker domain, or already during this
+    call when the outcome needs no worker (a rejected key, a dead shard, a
+    closed store, or [Overloaded]).  [false]: a mailbox was full; the rest
+    of the job waits for a later [submit].  A job still unqueued
+    [enqueue_timeout_ms] after [submit] first returned [false] fails with
+    [Overloaded] on the next call (never, when the timeout is [0]).
+
+    Callbacks run on the worker between two mutations: they must be
+    quick, and must not raise (an escaping exception kills the worker
+    like any other). *)
+
 (** {1 Batched mutations}
 
     The amortized path: accumulate mutations locally, then {!Batch.flush}
@@ -181,11 +212,19 @@ module Batch : sig
       prefix — but {e other} shards still apply theirs (shards are
       independent). *)
 
-  val flush : b -> (int, Hyperion.Hyperion_error.t) result
-  (** {!flush_report} reduced to the historical shape: [Ok n] is the total
+  val job : b -> (shard_flush list -> unit) -> job
+  (** The non-blocking {!flush_report}: takes every buffered operation
+      (emptying the batch) into a job whose callback receives the
+      per-shard report once every involved shard has answered. *)
+
+  val outcome : shard_flush list -> (int, Hyperion.Hyperion_error.t) result
+  (** A report reduced to the historical shape: [Ok n] is the total
       number of mutations applied; on failure the first error (lowest
       shard index) is returned, and [n] applied mutations in other shards
       are not rolled back. *)
+
+  val flush : b -> (int, Hyperion.Hyperion_error.t) result
+  (** [outcome (flush_report b)]. *)
 end
 
 (** {1 Quiesced cross-shard reads}

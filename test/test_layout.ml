@@ -36,7 +36,8 @@ let test_cjt () =
   Alcotest.(check int) "area" 56 (L.jt_area_size buf 0);
   Alcotest.(check int) "payload start" 61 (L.payload_start buf 0);
   L.jt_write buf 0 3 ~key:128 ~off:99999;
-  Alcotest.(check (pair int int)) "entry" (128, 99999) (L.jt_read buf 0 3)
+  Alcotest.(check (pair int int)) "entry" (128, 99999)
+    (L.jt_key buf 0 3, L.jt_off buf 0 3)
 
 let test_qcheck_flags =
   QCheck.Test.make ~name:"node flag roundtrip" ~count:500

@@ -2,8 +2,9 @@
    put/get/batch round trips with out-of-order correlation, stats and
    health, typed Degraded errors over the wire when a shard's storage
    fails, malformed frames answered without dropping the connection,
-   oversized frames closing it, the memcached-text listener, and clean
-   server shutdown. *)
+   oversized frames closing it, the memcached-text listener, reads that
+   never wait behind a mutation, hundreds of connections on the one loop
+   thread, and clean server shutdown. *)
 
 module H = Hyperion
 module E = H.Hyperion_error
@@ -415,6 +416,31 @@ let test_memcached_text () =
   Unix.close sock;
   stop_server (t, srv)
 
+(* Commands pipelined in one write, and a data block split across
+   writes: replies come back in command order, and a get after a set on
+   the same connection sees it (the loop does not parse the next command
+   while a mutation is in flight). *)
+let test_memcached_pipelined_in_order () =
+  let (t, srv) = start_server ~memcached:true () in
+  let sock = mc_connect srv in
+  mc_send sock
+    "set pa 0 0 1\r\n7\r\nget pa\r\nset pb 0 0 2 noreply\r\n11\r\n\
+     delete pa\r\nget pa pb\r\n";
+  let r = mc_read_until sock "VALUE pb 0 2\r\n11\r\nEND\r\n" in
+  Alcotest.(check string) "in order"
+    "STORED\r\nVALUE pa 0 1\r\n7\r\nEND\r\nDELETED\r\n\
+     VALUE pb 0 2\r\n11\r\nEND\r\n"
+    r;
+  mc_send sock "set split 0 0 3\r\n4";
+  Thread.delay 0.05;
+  mc_send sock "2";
+  Thread.delay 0.05;
+  mc_send sock "1\r\nget split\r\n";
+  let r = mc_read_until sock "END\r\n" in
+  Alcotest.(check string) "split data block" "STORED\r\nVALUE split 0 3\r\n421\r\nEND\r\n" r;
+  Unix.close sock;
+  stop_server (t, srv)
+
 (* --- pipelined read bursts through the batched path -------------------- *)
 
 (* Same registered metric as lib/core — registration is idempotent, so
@@ -583,6 +609,144 @@ let test_burst_with_down_and_degraded_shards () =
   | Error e -> Alcotest.failf "close: %s" (E.to_string e));
   wipe_tree dir
 
+(* --- reads never wait for mutations ------------------------------------ *)
+
+(* Wait up to 5 s for a response; a hang here means the server made a
+   read wait behind a mutation that cannot complete. *)
+let recv_within cl what =
+  if not (Client.poll cl 5.0) then Alcotest.failf "%s: no response within 5 s" what;
+  match Client.recv cl with Ok r -> r | Error m -> Alcotest.failf "%s: %s" what m
+
+(* With every shard worker parked at a quiesce barrier, a Put cannot be
+   applied; the 32 Gets pipelined behind it on the same connection must
+   still all be answered, and the Put's ack must arrive only after the
+   barrier lifts. *)
+let test_reads_not_queued_behind_mutation () =
+  let (t, srv) = start_server () in
+  let key j = Printf.sprintf "%c read-through %02d" (Char.chr (65 + (j * 5))) j in
+  for j = 0 to 31 do
+    Sh.put t (key j) (Int64.of_int j)
+  done;
+  let cl = connect srv in
+  let send id req =
+    match Client.send cl ~id req with Ok () -> () | Error m -> Alcotest.failf "send: %s" m
+  in
+  Sh.with_quiesced t (fun _ ->
+      send 1 (F.Put ("held key", 5L));
+      for j = 0 to 31 do
+        send (100 + j) (F.Get (key j))
+      done;
+      for _ = 0 to 31 do
+        match recv_within cl "get behind a held put" with
+        | 1, _ -> Alcotest.fail "put acknowledged while the shards were quiesced"
+        | id, resp ->
+            if id < 100 || id > 131 then Alcotest.failf "alien id %d" id;
+            expect (Printf.sprintf "get %d" id)
+              (F.Value (Some (Int64.of_int (id - 100))))
+              resp
+      done);
+  (match recv_within cl "put after release" with
+  | 1, F.Ack -> ()
+  | id, _ -> Alcotest.failf "expected the put's ack, got id %d" id);
+  expect "held key reads back" (F.Value (Some 5L))
+    (ok "get" (Client.request cl (F.Get "held key")));
+  Client.close cl;
+  stop_server (t, srv)
+
+(* --- many connections, one loop --------------------------------------- *)
+
+(* One active client's pipelined rounds: 8 puts, a 4-put batch, a miss,
+   and (after the first round) gets of everything the previous round
+   wrote.  Returns what went wrong, if anything. *)
+let active_client cl ci =
+  let key r j = Printf.sprintf "%c conn %d round %02d key %02d" (Char.chr (97 + ci)) ci r j in
+  let value r j = Int64.of_int ((ci * 100_000) + (r * 100) + j) in
+  let problems = ref [] in
+  let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  for r = 0 to 19 do
+    let want = Hashtbl.create 32 in
+    let send id req expected =
+      Hashtbl.replace want id expected;
+      match Client.send cl ~id req with
+      | Ok () -> ()
+      | Error m -> problem "client %d send: %s" ci m
+    in
+    for j = 0 to 7 do
+      send ((r * 100) + j) (F.Put (key r j, value r j)) F.Ack
+    done;
+    send ((r * 100) + 8)
+      (F.Batch (Array.init 4 (fun b -> F.Bput (key r (10 + b), value r (10 + b)))))
+      (F.Applied 4);
+    send ((r * 100) + 9) (F.Get (key r 99)) (F.Value None);
+    if r > 0 then
+      List.iter
+        (fun j -> send ((r * 100) + 20 + j) (F.Get (key (r - 1) j)) (F.Value (Some (value (r - 1) j))))
+        [ 0; 1; 2; 3; 4; 5; 6; 7; 10; 11; 12; 13 ];
+    for _ = 1 to Hashtbl.length want do
+      match Client.recv cl with
+      | Error m -> problem "client %d recv: %s" ci m
+      | Ok (id, resp) -> (
+          match Hashtbl.find_opt want id with
+          | None -> problem "client %d: alien or duplicate id %d" ci id
+          | Some w ->
+              if resp <> w then problem "client %d: id %d answered wrong" ci id;
+              Hashtbl.remove want id)
+    done
+  done;
+  List.rev !problems
+
+let test_many_connections () =
+  let (t, srv) = start_server () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Server.port srv) in
+  let active = Array.init 4 (fun _ -> connect srv) in
+  let idle =
+    Array.init 512 (fun _ ->
+        let s = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect s addr;
+        s)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Server.connections srv < 516 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check int) "every connection accepted" 516 (Server.connections srv);
+  let results = Array.make 4 [] in
+  let threads =
+    Array.mapi
+      (fun ci cl -> Thread.create (fun () -> results.(ci) <- active_client cl ci) ())
+      active
+  in
+  Array.iter Thread.join threads;
+  Array.iter (List.iter (fun m -> Alcotest.fail m)) results;
+  Alcotest.(check int) "still 516 connections" 516 (Server.connections srv);
+  let t0 = Unix.gettimeofday () in
+  Server.stop srv;
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 2.0 then Alcotest.failf "stop took %.2f s" took;
+  Alcotest.(check int) "no connections after stop" 0 (Server.connections srv);
+  (* the server closed its end of every socket: each read sees EOF *)
+  let rbuf = Bytes.create 64 in
+  Array.iteri
+    (fun i s ->
+      Unix.setsockopt_float s Unix.SO_RCVTIMEO 5.0;
+      (match Unix.read s rbuf 0 64 with
+      | 0 -> ()
+      | _ -> Alcotest.failf "idle socket %d received data" i
+      | exception Unix.Unix_error (e, _, _) ->
+          Alcotest.failf "idle socket %d not closed by the server: %s" i
+            (Unix.error_message e));
+      Unix.close s)
+    idle;
+  Array.iteri
+    (fun i cl ->
+      match Client.recv cl with
+      | Error _ -> Client.close cl
+      | Ok _ -> Alcotest.failf "active client %d got a stray response" i)
+    active;
+  match Sh.close t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "close: %s" (E.to_string e)
+
 (* --- clean shutdown under load ----------------------------------------- *)
 
 let test_stop_with_live_connections () =
@@ -608,6 +772,8 @@ let () =
             test_batch_and_stats;
           Alcotest.test_case "pipelined out-of-order" `Quick
             test_pipelined_out_of_order;
+          Alcotest.test_case "reads not queued behind a mutation" `Quick
+            test_reads_not_queued_behind_mutation;
         ] );
       ( "errors",
         [
@@ -627,10 +793,17 @@ let () =
           Alcotest.test_case "burst with down + degraded shards" `Quick
             test_burst_with_down_and_degraded_shards;
         ] );
-      ("memcached", [ Alcotest.test_case "text subset" `Quick test_memcached_text ]);
+      ( "memcached",
+        [
+          Alcotest.test_case "text subset" `Quick test_memcached_text;
+          Alcotest.test_case "pipelined commands in order" `Quick
+            test_memcached_pipelined_in_order;
+        ] );
       ( "lifecycle",
         [
           Alcotest.test_case "stop with live connections" `Quick
             test_stop_with_live_connections;
+          Alcotest.test_case "512 idle + 4 active connections" `Quick
+            test_many_connections;
         ] );
     ]
