@@ -210,25 +210,14 @@ let collect_children buf t limit =
   done;
   Array.of_list (List.rev !out)
 
-(* Fill the 15 jump-table entries with (up to 15) evenly spaced children. *)
 let refill_tjt cbox t =
   let buf = cbox.buf in
   let region = top_region buf cbox.base in
   let limit = Scan.t_children_end cbox region t in
   let children = collect_children buf t limit in
-  let n = Array.length children in
-  for i = 0 to Node.jt_entries - 1 do
-    if n = 0 then Records.jt_set_entry buf t.Records.t_jt_pos i ~key:0 ~off:0
-    else begin
-      let idx = if n <= Node.jt_entries then i else (i + 1) * n / 16 in
-      if idx < n then begin
-        let key, pos = children.(idx) in
-        Records.jt_set_entry buf t.Records.t_jt_pos i ~key
-          ~off:(pos - t.Records.t_pos)
-      end
-      else Records.jt_set_entry buf t.Records.t_jt_pos i ~key:0 ~off:0
-    end
-  done
+  Jumps.fill_tjt buf t.Records.t_jt_pos ~n:(Array.length children) (fun j ->
+      let key, pos = children.(j) in
+      (key, pos - t.Records.t_pos))
 
 let add_tjt cbox t =
   assert (t.Records.t_js_pos >= 0);
@@ -256,11 +245,23 @@ let rec maintain_t trie cbox k0 ~stale rounds =
     | Scan.T_found (t, _) ->
         let cap = trie.cfg.tnode_jt_threshold + 1 in
         let n = Scan.count_s_children ~cap cbox region t in
-        if t.Records.t_js_pos < 0 && n >= trie.cfg.js_threshold then begin
+        (* the span is walked only when a jump field is about to be added *)
+        let fits extra =
+          Jumps.span_fits
+            (Scan.t_children_end cbox region t - t.Records.t_pos + extra)
+        in
+        if
+          t.Records.t_js_pos < 0
+          && Jumps.wants_js trie.cfg ~children:n
+          && fits Node.js_size
+        then begin
           add_js cbox t;
           maintain_t trie cbox k0 ~stale (rounds + 1)
         end
-        else if t.Records.t_jt_pos < 0 && n >= trie.cfg.tnode_jt_threshold
+        else if
+          t.Records.t_jt_pos < 0
+          && Jumps.wants_tjt trie.cfg ~children:n
+          && fits Node.jt_size
         then begin
           add_tjt cbox t;
           maintain_t trie cbox k0 ~stale:false (rounds + 1)
@@ -289,8 +290,7 @@ let maintain_cjt cbox =
   let ts = collect_ts cbox in
   let count = Array.length ts in
   if count > 0 then begin
-    let want = min 7 ((count + 6) / 7) in
-    if j < want then begin
+    if j < Jumps.cjt_levels ~t_nodes:count then begin
       Splice.splice cbox ~emb_chain:[]
         ~at:(base + Layout.payload_start buf base)
         ~remove:0
@@ -300,19 +300,9 @@ let maintain_cjt cbox =
     end;
     let buf = cbox.buf and base = cbox.base in
     let ts = collect_ts cbox in
-    let count = Array.length ts in
-    let entries = Layout.jt_count buf base in
-    for e = 0 to entries - 1 do
-      if count = 0 then Layout.jt_write buf base e ~key:0 ~off:0
-      else begin
-        let idx = if count <= entries then e else e * count / entries in
-        if idx < count then begin
-          let key, pos = ts.(idx) in
-          Layout.jt_write buf base e ~key ~off:(pos - base)
-        end
-        else Layout.jt_write buf base e ~key:0 ~off:0
-      end
-    done
+    Jumps.fill_cjt buf base ~n:(Array.length ts) (fun j ->
+        let key, pos = ts.(j) in
+        (key, pos - base))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -323,28 +313,6 @@ let should_split trie cbox =
   let buf = cbox.buf and base = cbox.base in
   Layout.read_size buf base
   >= trie.cfg.split_a + (trie.cfg.split_b * Layout.read_split_delay buf base)
-
-let write_slot trie ceb slot content =
-  let size = max 32 (Splice.round32 (Layout.header_size + String.length content)) in
-  Memman.ceb_set_slot trie.mm ceb ~slot size;
-  match Memman.ceb_slot trie.mm ceb ~slot with
-  | Some (buf, off, _) ->
-      Layout.write_header buf off ~size
-        ~free:(size - Layout.header_size - String.length content)
-        ~jump_levels:0 ~split_delay:0;
-      Bytes.blit_string content 0 buf (off + Layout.header_size)
-        (String.length content);
-      (* Callers recompute the tag byte once the content is fully
-         consistent — a split's right piece still needs its jump offsets
-         adjusted, and recycled chunks hold a stale tag until then. *)
-      (buf, off)
-  | None ->
-      Hyperion_error.fail
-        (Hyperion_error.Chunk_corrupt
-           (Format.asprintf
-              "write_slot: CEB slot %d vanished after ceb_set_slot in \
-               container %a"
-              slot Hp.pp ceb))
 
 let abort_split cbox =
   let d = Layout.read_split_delay cbox.buf cbox.base in
@@ -411,9 +379,9 @@ let try_split trie cbox =
             if cbox.slot < 0 then begin
               let ceb = Memman.ceb_alloc trie.mm in
               (try
-                 let lbuf, loff = write_slot trie ceb 0 left_content in
+                 let lbuf, loff = Splice.write_slot trie ceb 0 left_content in
                  Tag.recompute lbuf loff;
-                 let rbuf, roff = write_slot trie ceb right_slot right_content in
+                 let rbuf, roff = Splice.write_slot trie ceb right_slot right_content in
                  if d <> 0 then
                    Splice.adjust_record_offsets rbuf (roff + Layout.header_size) d;
                  Tag.recompute rbuf roff
@@ -438,7 +406,7 @@ let try_split trie cbox =
                  invariants anyway). *)
               (try
                  let rbuf, roff =
-                   write_slot trie cbox.hp right_slot right_content
+                   Splice.write_slot trie cbox.hp right_slot right_content
                  in
                  if d <> 0 then
                    Splice.adjust_record_offsets rbuf (roff + Layout.header_size) d;
@@ -448,7 +416,7 @@ let try_split trie cbox =
                  raise e);
               Fault.with_pause (Memman.fault trie.mm) (fun () ->
                   Memman.ceb_clear_slot trie.mm cbox.hp ~slot:cbox.slot;
-                  let lbuf, loff = write_slot trie cbox.hp cbox.slot left_content in
+                  let lbuf, loff = Splice.write_slot trie cbox.hp cbox.slot left_content in
                   Tag.recompute lbuf loff)
             end
           with

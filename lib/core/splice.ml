@@ -36,20 +36,56 @@ let refresh cbox =
     cbox.base <- base
   end
 
-let new_container trie content =
+(* Lay a fresh container image at [base]: header, room for a container
+   jump table of [jump_levels] levels, then [content].  Chunks come zeroed
+   from the allocator, so the table reads empty until the caller fills
+   it; the tag byte is left for the caller to recompute. *)
+let write_image buf base ~size ~jump_levels content =
   let len = String.length content in
-  let size = max 32 (round32 (Layout.header_size + len)) in
+  let jt = 7 * jump_levels * Layout.jt_entry_size in
+  Layout.write_header buf base ~size
+    ~free:(size - Layout.header_size - jt - len)
+    ~jump_levels ~split_delay:0;
+  Bytes.blit_string content 0 buf (base + Layout.header_size + jt) len
+
+let image_size ~jump_levels content =
+  let size =
+    max 32
+      (round32
+         (Layout.header_size
+         + (7 * jump_levels * Layout.jt_entry_size)
+         + String.length content))
+  in
   if size > Layout.max_container_size then
     Hyperion_error.fail Hyperion_error.Container_overflow;
+  size
+
+let new_container ?(jump_levels = 0) trie content =
+  let size = image_size ~jump_levels content in
   let hp = Memman.alloc trie.mm size in
   let buf, base = Memman.resolve trie.mm hp in
-  Layout.write_header buf base ~size
-    ~free:(size - Layout.header_size - len)
-    ~jump_levels:0 ~split_delay:0;
-  Bytes.blit_string content 0 buf (base + Layout.header_size) len;
+  write_image buf base ~size ~jump_levels content;
   (* the recycled chunk's tag byte is stale garbage until this *)
   Tag.recompute buf base;
   hp
+
+let write_slot ?(jump_levels = 0) trie ceb slot content =
+  let size = image_size ~jump_levels content in
+  Memman.ceb_set_slot trie.mm ceb ~slot size;
+  match Memman.ceb_slot trie.mm ceb ~slot with
+  | Some (buf, off, _) ->
+      write_image buf off ~size ~jump_levels content;
+      (* Callers recompute the tag byte once the content is fully
+         consistent — a split's right piece still needs its jump offsets
+         adjusted, and recycled chunks hold a stale tag until then. *)
+      (buf, off)
+  | None ->
+      Hyperion_error.fail
+        (Hyperion_error.Chunk_corrupt
+           (Format.asprintf
+              "write_slot: CEB slot %d vanished after ceb_set_slot in \
+               container %a"
+              slot Hp.pp ceb))
 
 let container_size cbox = Layout.read_size cbox.buf cbox.base
 

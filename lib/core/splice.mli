@@ -19,9 +19,22 @@ val refresh : Types.cbox -> unit
 (** Re-derive [buf]/[base] after an operation that may have moved the
     container. *)
 
-val new_container : Types.trie -> string -> Hp.t
+val new_container : ?jump_levels:int -> Types.trie -> string -> Hp.t
 (** Allocate a fresh container holding the given record content, with a
-    32-byte-granular exact-fit size. *)
+    32-byte-granular exact-fit size.  [jump_levels] (default 0) reserves an
+    empty container jump table of that many 7-entry levels in front of
+    the content; the caller fills it ({!Jumps.fill_cjt}).  The tag byte is
+    recomputed from the content.
+    @raise Hyperion_error.Error [Container_overflow] past the 19-bit size
+    limit, or the allocator's failures. *)
+
+val write_slot :
+  ?jump_levels:int -> Types.trie -> Hp.t -> int -> string -> Bytes.t * int
+(** [write_slot trie ceb slot content] populates the void CEB slot [slot]
+    with a container image laid out as {!new_container} does, and returns
+    its buffer and base.  Unlike {!new_container} it leaves the tag byte
+    stale: the caller recomputes it ({!Tag.recompute}) once the content
+    is final. *)
 
 val container_size : Types.cbox -> int
 (** Current size field of the open container. *)

@@ -59,7 +59,10 @@ let create ?(config = Config.default) () =
 let create_default () = create ()
 let config t = t.cfg
 
-let xform t key = if t.cfg.preprocess then Preprocess.encode key else key
+let stored_key (cfg : Config.t) key =
+  if cfg.preprocess then Preprocess.encode key else key
+
+let xform t key = stored_key t.cfg key
 
 let route t key =
   if Array.length t.tries = 1 then 0 else Char.code key.[0]
@@ -245,6 +248,41 @@ let range t ?start f =
 
 let length t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
 
+(* --- bottom-up construction ---------------------------------------- *)
+
+let of_sorted ?(config = Config.default) keys values =
+  let n = Array.length keys in
+  if Array.length values <> n then
+    invalid_arg "Store.of_sorted: keys and values differ in length";
+  for i = 1 to n - 1 do
+    if String.compare keys.(i - 1) keys.(i) >= 0 then
+      invalid_arg "Store.of_sorted: keys not strictly ascending"
+  done;
+  match Array.find_map Ops.key_error keys with
+  | Some e -> Error e
+  | None -> (
+      let t = create ~config () in
+      let build i ~lo ~hi =
+        with_arena t i (fun () -> Bulk.build t.tries.(i) keys values ~lo ~hi);
+        Atomic.set t.counts.(i) (hi - lo)
+      in
+      match
+        if Array.length t.tries = 1 then build 0 ~lo:0 ~hi:n
+        else begin
+          (* tries are routed by first byte: each owns a contiguous run *)
+          let lo = ref 0 in
+          while !lo < n do
+            let r = route t keys.(!lo) in
+            let hi = ref (!lo + 1) in
+            while !hi < n && route t keys.(!hi) = r do incr hi done;
+            build r ~lo:!lo ~hi:!hi;
+            lo := !hi
+          done
+        end
+      with
+      | () -> Ok t
+      | exception Hyperion_error.Error e -> Error e)
+
 (* --- typed-result mutation API ------------------------------------- *)
 
 let put_result_opt_u t key value =
@@ -275,7 +313,6 @@ let put_result_opt t key value =
   end
   else put_result_opt_u t key value
 
-let put_opt_result = put_result_opt
 let put_result t key value = put_result_opt t key (Some value)
 let add_result t key = put_result_opt t key None
 

@@ -58,11 +58,27 @@ val put_result : t -> string -> int64 -> (unit, Hyperion_error.t) result
 val add_result : t -> string -> (unit, Hyperion_error.t) result
 val delete_result : t -> string -> (bool, Hyperion_error.t) result
 
-val put_opt_result : t -> string -> int64 option -> (unit, Hyperion_error.t) result
-(** [put_opt_result t key v] is [put_result] when [v = Some _] and
-    [add_result] when [v = None] — the shape {!iter} hands out, so snapshot
-    load and WAL replay can reinsert any binding (valued or type-10)
-    uniformly. *)
+(** {1 Bottom-up construction} *)
+
+val stored_key : Config.t -> string -> string
+(** The form a key takes inside the trie under [config]: the key itself,
+    or its {!Preprocess} encoding when [config.preprocess] is on.
+    Stored-key order is the order {!iter} visits keys in.
+    @raise Invalid_argument when pre-processing rejects the key. *)
+
+val of_sorted :
+  ?config:Config.t ->
+  string array ->
+  int64 option array ->
+  (t, Hyperion_error.t) result
+(** [of_sorted ~config keys values] is a fresh store holding [keys.(i)]
+    with [values.(i)] ([None]: stored without a value), built bottom-up in
+    one pass ({!Bulk}) instead of one put per key.  The keys are
+    {e stored} keys ({!stored_key}) in strictly ascending order.  Errors:
+    [Empty_key] / [Key_too_long] for an invalid key, [Container_overflow]
+    or an allocator failure while building.
+    @raise Invalid_argument when the arrays differ in length or the keys
+    are not strictly ascending. *)
 
 (** {1 Fault injection and saturation} *)
 

@@ -147,9 +147,6 @@ let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
       (try Sys.remove tmp with Sys_error _ -> ());
       e
 
-let apply_record store key value =
-  Hyperion.Store.put_opt_result store key value
-
 let decode_record path payload =
   let len = String.length payload in
   if len < 1 then corrupt path "empty record payload"
@@ -174,6 +171,64 @@ let probe ?(io = Io.none) path =
           match parse_encoder path h buf with
           | Error _ as e -> e
           | Ok (enc, _) -> Ok (h, enc)))
+
+(* Every record of the file, CRC-checked and decoded.  The header's count
+   comes from the file, so it is bounded by what the remaining bytes can
+   hold before it sizes anything: a framed record takes at least 10 bytes
+   (length, tag, one key byte, CRC). *)
+let read_records path h buf ~pos =
+  let total = Bytes.length buf in
+  if h.count < 0 || h.count > (total - pos) / 10 then
+    corrupt path
+      (Printf.sprintf "header claims %d records in %d bytes" h.count
+         (total - pos))
+  else begin
+    let keys = Array.make h.count "" and values = Array.make h.count None in
+    let rec loop pos seen =
+      if pos = total then
+        if seen = h.count then Ok (keys, values)
+        else
+          corrupt path
+            (Printf.sprintf "header promises %d records, file has %d" h.count
+               seen)
+      else if seen = h.count then corrupt path "trailing bytes"
+      else
+        match Frame.read_record buf ~pos with
+        | Error Frame.Rec_short -> corrupt path "truncated record"
+        | Error Frame.Rec_bad_len -> corrupt path "absurd record length"
+        | Error Frame.Rec_bad_crc ->
+            corrupt path (Printf.sprintf "record #%d CRC mismatch" seen)
+        | Ok (payload, next) -> (
+            match decode_record path payload with
+            | Error _ as e -> e
+            | Ok (key, value) ->
+                keys.(seen) <- key;
+                values.(seen) <- value;
+                loop next (seen + 1))
+    in
+    loop pos 0
+  end
+
+(* Turn the decoded keys into stored keys in place, and insist on the
+   strictly ascending order [save] writes them in: the trie is built
+   bottom-up from that order. *)
+let to_stored path config keys =
+  let rec go i =
+    if i = Array.length keys then Ok ()
+    else
+      match Hyperion.Store.stored_key config keys.(i) with
+      | exception Invalid_argument why ->
+          corrupt path (Printf.sprintf "record #%d: %s" i why)
+      | k ->
+          keys.(i) <- k;
+          if i > 0 && String.compare keys.(i - 1) k >= 0 then
+            corrupt path
+              (Printf.sprintf "record #%d %s" i
+                 (if keys.(i - 1) = k then "repeats a key"
+                  else "is out of order"))
+          else go (i + 1)
+  in
+  go 0
 
 let load ?(io = Io.none) ?expect ~config path =
   match Io.read_file io path with
@@ -220,33 +275,13 @@ let load ?(io = Io.none) ?expect ~config path =
                      (Compress.mix_fingerprint
                         (Hyperion.Config.fingerprint config)
                         enc))
-              else begin
-                let store = Hyperion.Store.create ~config () in
-                let total = Bytes.length buf in
-                let rec loop pos seen =
-                  if pos = total then
-                    if seen = h.count then Ok (store, enc)
-                    else
-                      corrupt path
-                        (Printf.sprintf
-                           "header promises %d records, file has %d" h.count
-                           seen)
-                  else if seen = h.count then corrupt path "trailing bytes"
-                  else
-                    match Frame.read_record buf ~pos with
-                    | Error Frame.Rec_short -> corrupt path "truncated record"
-                    | Error Frame.Rec_bad_len ->
-                        corrupt path "absurd record length"
-                    | Error Frame.Rec_bad_crc ->
-                        corrupt path
-                          (Printf.sprintf "record #%d CRC mismatch" seen)
-                    | Ok (payload, next) -> (
-                        match decode_record path payload with
-                        | Error _ as e -> e
-                        | Ok (key, value) -> (
-                            match apply_record store key value with
-                            | Ok () -> loop next (seen + 1)
-                            | Error _ as e -> e))
-                in
-                loop records_pos 0
-              end))
+              else
+                match read_records path h buf ~pos:records_pos with
+                | Error _ as e -> e
+                | Ok (keys, values) -> (
+                    match to_stored path config keys with
+                    | Error _ as e -> e
+                    | Ok () -> (
+                        match Hyperion.Store.of_sorted ~config keys values with
+                        | Ok store -> Ok (store, enc)
+                        | Error _ as e -> e))))

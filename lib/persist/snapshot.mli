@@ -23,9 +23,10 @@
     [path], then fsyncs the directory — a crash mid-snapshot leaves at
     worst a stale [.tmp] and the previous generation intact.
 
-    Load reinserts records by sorted bulk insertion (ascending key order is
-    the trie's cheapest insertion order: every put descends a warm
-    right-edge path). *)
+    Load decodes every record, turns the keys into stored keys
+    ({!Hyperion.Store.stored_key}) and builds the trie bottom-up in one
+    ascending pass ({!Hyperion.Store.of_sorted}); a file whose stored keys
+    are not strictly ascending is corrupt. *)
 
 val format_version : int
 (** 2.  Files at version 1 are accepted by {!load}; anything else is
@@ -70,7 +71,9 @@ val load :
     [config.compress], or when [expect] is given and the file's encoder
     is not {!Compress.equal} to it (the [found]/[expected] ints carry
     {!Compress.tag}s); [Corrupt_snapshot] on bad magic, any CRC mismatch,
-    a malformed dictionary, truncation, trailing bytes, a record count
-    that disagrees with the header, or a mixed fingerprint differing from
-    [config]'s; [Io_error] on OS failures.  Never raises on file
-    contents. *)
+    a malformed dictionary, truncation, trailing bytes, a header record
+    count that is negative, exceeds what the file can hold or disagrees
+    with the records, stored keys that are not strictly ascending, or a
+    mixed fingerprint differing from [config]'s; [Key_too_long] for a
+    key the trie cannot hold; [Io_error] on OS failures.  Never raises on
+    file contents. *)
