@@ -1,4 +1,5 @@
 module H = Hyperion
+module Wal = Persist.Wal
 
 type outcome = {
   ops : int;
@@ -240,13 +241,21 @@ let pp_sharded_outcome fmt o =
    store state is deterministic in the seed: replaying every client's log
    sequentially — in any client order — yields the same bindings. *)
 type client_report = {
-  cr_log : logged_op list;  (* reversed: newest first *)
+  cr_log : Wal.op list;  (* reversed: newest first *)
   cr_mutations : int;
   cr_batched : int;
   cr_error : string option;
 }
 
-and logged_op = L_put of string * int64 | L_add of string | L_del of string
+let op_key (Wal.Put (k, _) | Wal.Add k | Wal.Delete k) = k
+
+(* Apply one acknowledged mutation to a client's expected bindings, with
+   the same per-key transition recovery folds the log with. *)
+let apply_expected expected op =
+  let k = op_key op in
+  match Wal.step (Hashtbl.find_opt expected k) op with
+  | Some b -> Hashtbl.replace expected k b
+  | None -> Hashtbl.remove expected k
 
 let wipe_dir dir =
   if Sys.file_exists dir then begin
@@ -280,10 +289,7 @@ let run_sharded_client store ~seed ~clients ~c ~ops ~key_space =
      [expected] (and the log) only when the flush is acknowledged *)
   let pending = ref [] in
   let pending_has key =
-    List.exists
-      (function
-        | L_put (k, _) | L_add k | L_del k -> k = key)
-      !pending
+    List.exists (fun op -> op_key op = key) !pending
   in
   let err = ref None in
   let fail fmt =
@@ -293,13 +299,7 @@ let run_sharded_client store ~seed ~clients ~c ~ops ~key_space =
           err := Some (Printf.sprintf "client %d seed=%Ld: %s" c seed msg))
       fmt
   in
-  let apply_expected = function
-    | L_put (k, v) -> Hashtbl.replace expected k (Some v)
-    | L_add k ->
-        (* add is "insert if absent": an existing binding keeps its value *)
-        if not (Hashtbl.mem expected k) then Hashtbl.replace expected k None
-    | L_del k -> Hashtbl.remove expected k
-  in
+  let apply_expected = apply_expected expected in
   let flush () =
     match !pending with
     | [] -> ()
@@ -323,9 +323,9 @@ let run_sharded_client store ~seed ~clients ~c ~ops ~key_space =
   let direct op =
     let r =
       match op with
-      | L_put (k, v) -> Hyperion_shard.put_result store k v
-      | L_add k -> Hyperion_shard.add_result store k
-      | L_del k -> (
+      | Wal.Put (k, v) -> Hyperion_shard.put_result store k v
+      | Wal.Add k -> Hyperion_shard.add_result store k
+      | Wal.Delete k -> (
           let present = Hashtbl.mem expected k in
           match Hyperion_shard.delete_result store k with
           | Ok removed ->
@@ -351,25 +351,25 @@ let run_sharded_client store ~seed ~clients ~c ~ops ~key_space =
          if dice < 30 then begin
            (* direct blocking put *)
            let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
-           direct (L_put (key, v))
+           direct (Wal.Put (key, v))
          end
          else if dice < 45 then begin
            (* batched put/add, flushed every 8 buffered mutations *)
            let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
            let op =
-             if dice < 42 then L_put (key, v) else L_add key
+             if dice < 42 then Wal.Put (key, v) else Wal.Add key
            in
            (match op with
-           | L_put (k, v) -> Hyperion_shard.Batch.put batch k v
-           | L_add k -> Hyperion_shard.Batch.add batch k
-           | L_del _ -> assert false);
+           | Wal.Put (k, v) -> Hyperion_shard.Batch.put batch k v
+           | Wal.Add k -> Hyperion_shard.Batch.add batch k
+           | Wal.Delete _ -> assert false);
            pending := op :: !pending;
            if Hyperion_shard.Batch.length batch >= 8 then flush ()
          end
-         else if dice < 55 then direct (L_add key)
+         else if dice < 55 then direct (Wal.Add key)
          else if dice < 70 then begin
            if pending_has key then flush ();
-           direct (L_del key)
+           direct (Wal.Delete key)
          end
          else if dice < 90 then begin
            if pending_has key then flush ();
@@ -608,9 +608,9 @@ let run_sharded ?(config = H.Config.default) ?(shards = 4) ?clients
                 (fun r ->
                   List.iter
                     (function
-                      | L_put (k, v) -> Rbtree.put oracle k v
-                      | L_add k -> Rbtree.add oracle k
-                      | L_del k -> ignore (Rbtree.delete oracle k))
+                      | Wal.Put (k, v) -> Rbtree.put oracle k v
+                      | Wal.Add k -> Rbtree.add oracle k
+                      | Wal.Delete k -> ignore (Rbtree.delete oracle k))
                     (List.rev r.cr_log))
                 reports;
               match
@@ -798,19 +798,19 @@ let run_crash ?(config = H.Config.default) ?(key_space = 2048)
               in
               match Persist.put p key v with
               | Ok () ->
-                  record (L_put (key, v));
+                  record (Wal.Put (key, v));
                   Ok ()
               | Error e -> Error e
             else if dice < 65 then
               match Persist.add p key with
               | Ok () ->
-                  record (L_add key);
+                  record (Wal.Add key);
                   Ok ()
               | Error e -> Error e
             else
               match Persist.delete p key with
               | Ok true ->
-                  record (L_del key);
+                  record (Wal.Delete key);
                   Ok ()
               | Ok false -> Ok ()
               | Error e -> Error e
@@ -886,9 +886,9 @@ let run_crash ?(config = H.Config.default) ?(key_space = 2048)
                   (fun i op ->
                     if i < recovered then
                       match op with
-                      | L_put (k, v) -> Rbtree.put oracle k v
-                      | L_add k -> Rbtree.add oracle k
-                      | L_del k -> ignore (Rbtree.delete oracle k))
+                      | Wal.Put (k, v) -> Rbtree.put oracle k v
+                      | Wal.Add k -> Rbtree.add oracle k
+                      | Wal.Delete k -> ignore (Rbtree.delete oracle k))
                   ops_log;
                 let store = Persist.store p2 in
                 let divergence = ref None in
@@ -1050,9 +1050,9 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
         log := op :: !log;
         incr logged;
         match op with
-        | L_put (k, v) -> Rbtree.put oracle k v
-        | L_add k -> Rbtree.add oracle k
-        | L_del k -> ignore (Rbtree.delete oracle k)
+        | Wal.Put (k, v) -> Rbtree.put oracle k v
+        | Wal.Add k -> Rbtree.add oracle k
+        | Wal.Delete k -> ignore (Rbtree.delete oracle k)
       in
       (* Reads must keep serving at all times — degraded or not — so every
          audit includes the exact store-vs-oracle sweep. *)
@@ -1105,7 +1105,7 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
         let* () =
           match Persist.put p probe 1L with
           | Ok () ->
-              record (L_put (probe, 1L));
+              record (Wal.Put (probe, 1L));
               Ok ()
           | Error e -> fail "post-heal put: %s" (err_to_string e)
         in
@@ -1126,19 +1126,19 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
               in
               match Persist.put p key v with
               | Ok () ->
-                  record (L_put (key, v));
+                  record (Wal.Put (key, v));
                   Ok ()
               | Error e -> Error e
             else if dice < 65 then
               match Persist.add p key with
               | Ok () ->
-                  record (L_add key);
+                  record (Wal.Add key);
                   Ok ()
               | Error e -> Error e
             else
               match Persist.delete p key with
               | Ok true ->
-                  record (L_del key);
+                  record (Wal.Delete key);
                   Ok ()
               | Ok false -> Ok ()
               | Error e -> Error e
@@ -1193,7 +1193,7 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
             let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
             match Persist.put p key v with
             | Ok () ->
-                record (L_put (key, v));
+                record (Wal.Put (key, v));
                 tail (n - 1)
             | Error e -> fail "unsynced tail put: %s" (err_to_string e)
         in
@@ -1255,9 +1255,9 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
              (fun i op ->
                if i < recovered then
                  match op with
-                 | L_put (k, v) -> Rbtree.put prefix_oracle k v
-                 | L_add k -> Rbtree.add prefix_oracle k
-                 | L_del k -> ignore (Rbtree.delete prefix_oracle k))
+                 | Wal.Put (k, v) -> Rbtree.put prefix_oracle k v
+                 | Wal.Add k -> Rbtree.add prefix_oracle k
+                 | Wal.Delete k -> ignore (Rbtree.delete prefix_oracle k))
              ops_log;
            match store_matches_oracle (Persist.store p2) prefix_oracle with
            | Some d -> fail "post-recovery sweep (cut=%d): %s" cut d
@@ -1331,7 +1331,7 @@ let pp_sharded_diskfault_outcome fmt o =
    Every blocking call must still complete with SOME result: a hang here
    hangs the run, which is precisely what the harness is hunting. *)
 type df_client_report = {
-  dfc_log : logged_op list;  (* reversed: newest first *)
+  dfc_log : Wal.op list;  (* reversed: newest first *)
   dfc_acked : int;
   dfc_rejected : int;
   dfc_error : string option;
@@ -1361,12 +1361,7 @@ let run_diskfault_client store ~seed ~clients ~c ~ops ~key_space =
           err := Some (Printf.sprintf "diskfault client %d seed=%Ld: %s" c seed msg))
       fmt
   in
-  let apply_expected = function
-    | L_put (k, v) -> Hashtbl.replace expected k (Some v)
-    | L_add k ->
-        if not (Hashtbl.mem expected k) then Hashtbl.replace expected k None
-    | L_del k -> Hashtbl.remove expected k
-  in
+  let apply_expected = apply_expected expected in
   let note op =
     apply_expected op;
     log := op :: !log;
@@ -1413,15 +1408,15 @@ let run_diskfault_client store ~seed ~clients ~c ~ops ~key_space =
   let pending_has key =
     let i = Hyperion_shard.shard_of_key store key in
     List.exists
-      (function L_put (k, _) | L_add k | L_del k -> k = key)
+      (fun op -> op_key op = key)
       pending.(i)
   in
   let direct op =
     let r =
       match op with
-      | L_put (k, v) -> Hyperion_shard.put_result store k v
-      | L_add k -> Hyperion_shard.add_result store k
-      | L_del k -> (
+      | Wal.Put (k, v) -> Hyperion_shard.put_result store k v
+      | Wal.Add k -> Hyperion_shard.add_result store k
+      | Wal.Delete k -> (
           let present = Hashtbl.mem expected k in
           match Hyperion_shard.delete_result store k with
           | Ok removed ->
@@ -1443,23 +1438,23 @@ let run_diskfault_client store ~seed ~clients ~c ~ops ~key_space =
          let dice = Workload.Mt19937_64.next_below rng 100 in
          if dice < 30 then
            let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
-           direct (L_put (key, v))
+           direct (Wal.Put (key, v))
          else if dice < 45 then begin
            let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
-           let op = if dice < 42 then L_put (key, v) else L_add key in
+           let op = if dice < 42 then Wal.Put (key, v) else Wal.Add key in
            (match op with
-           | L_put (k, v) -> Hyperion_shard.Batch.put batch k v
-           | L_add k -> Hyperion_shard.Batch.add batch k
-           | L_del _ -> ());
+           | Wal.Put (k, v) -> Hyperion_shard.Batch.put batch k v
+           | Wal.Add k -> Hyperion_shard.Batch.add batch k
+           | Wal.Delete _ -> ());
            let i = Hyperion_shard.shard_of_key store key in
            pending.(i) <- op :: pending.(i);
            incr pending_count;
            if Hyperion_shard.Batch.length batch >= 8 then flush ()
          end
-         else if dice < 55 then direct (L_add key)
+         else if dice < 55 then direct (Wal.Add key)
          else if dice < 70 then begin
            if pending_has key then flush ();
-           direct (L_del key)
+           direct (Wal.Delete key)
          end
          else if dice < 90 then begin
            if pending_has key then flush ();
@@ -1632,9 +1627,9 @@ let run_sharded_diskfault ?(config = H.Config.default) ?(shards = 4) ?clients
             (fun r ->
               List.iter
                 (function
-                  | L_put (k, v) -> Rbtree.put oracle k v
-                  | L_add k -> Rbtree.add oracle k
-                  | L_del k -> ignore (Rbtree.delete oracle k))
+                  | Wal.Put (k, v) -> Rbtree.put oracle k v
+                  | Wal.Add k -> Rbtree.add oracle k
+                  | Wal.Delete k -> ignore (Rbtree.delete oracle k))
                 (List.rev r.dfc_log))
             reports;
           let acked = List.fold_left (fun a r -> a + r.dfc_acked) 0 reports in

@@ -86,7 +86,7 @@ let rec make_child_short ~dry trie suffix value =
   let len = String.length suffix in
   if len <= trie.cfg.pc_max then (Node.Child_pc, pc_body suffix value)
   else begin
-    let content = region_for_gen ~dry trie suffix value in
+    let content = region_with ~child:(make_child_short ~dry) trie suffix value in
     if 1 + String.length content <= emb_budget trie then begin
       let b = Buffer.create (1 + String.length content) in
       Buffer.add_char b (Char.chr (1 + String.length content));
@@ -98,7 +98,9 @@ let rec make_child_short ~dry trie suffix value =
       (Node.Child_hp, hp_body hp)
   end
 
-and region_for_gen ~dry trie suffix value =
+(* A region indexing one key [suffix]: its first two bytes as a T and an
+   S record, the rest encoded by [child]. *)
+and region_with ~child trie suffix value =
   ignore trie.cfg.delta_encoding (* single-key regions never delta-encode *);
   let len = String.length suffix in
   if len = 0 then invalid_arg "Encode.region_for: empty suffix";
@@ -113,9 +115,7 @@ and region_for_gen ~dry trie suffix value =
       let typ = match value with Some _ -> Node.Leaf_value | None -> Node.Leaf_no_value in
       t ^ s_record ~prev_key:(-1) ~key:k1 ~typ ~value ~child:Node.No_child
     else begin
-      let kind, body =
-        make_child_short ~dry trie (String.sub suffix 2 (len - 2)) value
-      in
+      let kind, body = child trie (String.sub suffix 2 (len - 2)) value in
       t
       ^ s_record ~prev_key:(-1) ~key:k1 ~typ:Node.Inner ~value:None ~child:kind
       ^ body
@@ -125,8 +125,6 @@ and region_for_gen ~dry trie suffix value =
 (* Keys beyond this length are wrapped iteratively in real containers to
    bound recursion depth. *)
 let long_threshold = 512
-
-let region_for trie suffix value = region_for_gen ~dry:false trie suffix value
 
 let make_child ?(dry = false) trie suffix value =
   let len = String.length suffix in
@@ -169,3 +167,8 @@ let make_child ?(dry = false) trie suffix value =
     done;
     (!kind, !body)
   end
+
+(* Through [make_child], so a long suffix takes the iterative path: the
+   first key of an empty trie can be up to 2^20 bytes. *)
+let region_for trie suffix value =
+  region_with ~child:(make_child ~dry:false) trie suffix value

@@ -126,38 +126,122 @@ let fresh_generation ~io ~config ~compress ~dir ~gen =
   let* wal = Wal.create ~io ~compress ~config ~gen (wal_file ~dir ~gen) in
   Ok (store, wal)
 
+(* The WAL tail collector.  [collect] checks one record the way a
+   put-replay of it would and keeps its stored key and op in flat
+   growable arrays (a hash table per key cost about twice as much in a
+   prototype); the second function returns them in log order.  The key
+   is checked as given, then as stored.  A delete whose stored key the
+   trie cannot hold removes nothing, as [Store.delete_result] does; a key
+   pre-processing refuses, which a put-replay raises on instead of
+   returning an error, is an [Io_error] naming the record. *)
+let tail_collector ~config ~wpath =
+  let n = ref 0 and keys = ref [||] and ops = ref [||] in
+  let push k op =
+    if !n = Array.length !keys then begin
+      let cap = max 256 (2 * !n) in
+      let keys' = Array.make cap "" and ops' = Array.make cap op in
+      Array.blit !keys 0 keys' 0 !n;
+      Array.blit !ops 0 ops' 0 !n;
+      keys := keys';
+      ops := ops'
+    end;
+    !keys.(!n) <- k;
+    !ops.(!n) <- op;
+    incr n
+  in
+  let seen = ref 0 in
+  let collect op =
+    let (Wal.Put (key, _) | Wal.Add key | Wal.Delete key) = op in
+    let record = !seen in
+    incr seen;
+    match Hyperion.Ops.key_error key with
+    | Some e -> Error e
+    | None -> (
+        match Hyperion.Store.stored_key config key with
+        | exception Invalid_argument why ->
+            Error
+              (E.Io_error
+                 (Printf.sprintf "%s: record #%d: %s" wpath record why))
+        | k -> (
+            match (Hyperion.Ops.key_error k, op) with
+            | Some _, Wal.Delete _ -> Ok ()
+            | Some e, _ -> Error e
+            | None, _ ->
+                push k op;
+                Ok ()))
+  in
+  (collect, fun () -> (Array.sub !keys 0 !n, Array.sub !ops 0 !n))
+
+(* Fold the tail into the snapshot's ascending run.  The record indices
+   are stable-sorted by key, so each key's records stay in log order and
+   fold with [Wal.step] over the key's snapshot binding; keys no record
+   touches pass through. *)
+let merge (keys, values) (tkeys, tops) =
+  let n = Array.length tkeys in
+  if n = 0 then (keys, values)
+  else begin
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> String.compare tkeys.(i) tkeys.(j)) order;
+    let m = Array.length keys in
+    let out_k = Array.make (m + n) "" and out_v = Array.make (m + n) None in
+    let o = ref 0 and s = ref 0 and r = ref 0 in
+    let emit k v =
+      out_k.(!o) <- k;
+      out_v.(!o) <- v;
+      incr o
+    in
+    while !r < n do
+      let k = tkeys.(order.(!r)) in
+      while !s < m && String.compare keys.(!s) k < 0 do
+        emit keys.(!s) values.(!s);
+        incr s
+      done;
+      let here = !s < m && String.equal keys.(!s) k in
+      let state = ref (if here then Some values.(!s) else None) in
+      if here then incr s;
+      while !r < n && String.equal tkeys.(order.(!r)) k do
+        state := Wal.step !state tops.(order.(!r));
+        incr r
+      done;
+      Option.iter (emit k) !state
+    done;
+    while !s < m do
+      emit keys.(!s) values.(!s);
+      incr s
+    done;
+    (Array.sub out_k 0 !o, Array.sub out_v 0 !o)
+  end
+
+(* Recovery builds the trie once: the snapshot's sorted run, merged with
+   the WAL tail folded to one final binding per key, goes through
+   [Store.of_sorted] in one pass instead of one put per log record. *)
 let recover_generation ~io ~config ?expect ~dir ~gen () =
-  let* store, enc = Snapshot.load ~io ?expect ~config (snapshot_file ~dir ~gen) in
-  let keys = Hyperion.Store.length store in
+  let* keys, values, enc =
+    Snapshot.load_sorted ~io ?expect ~config (snapshot_file ~dir ~gen)
+  in
+  let snapshot_keys = Array.length keys in
+  let build (keys, values) = Hyperion.Store.of_sorted ~config keys values in
   let wpath = wal_file ~dir ~gen in
   if not (Sys.file_exists wpath) then
     (* crash between snapshot rename and WAL creation: the snapshot alone
        is the complete durable state *)
+    let* store = build (keys, values) in
     let* wal = Wal.create ~io ~compress:enc ~config ~gen wpath in
-    Ok (store, enc, wal, keys, 0, false)
+    Ok (store, enc, wal, snapshot_keys, 0, false)
   else
-    let apply op =
-      let r =
-        match op with
-        | Wal.Put (k, v) -> Hyperion.Store.put_result store k v
-        | Wal.Add k -> Hyperion.Store.add_result store k
-        | Wal.Delete k -> (
-            match Hyperion.Store.delete_result store k with
-            | Ok _ -> Ok ()
-            | Error _ as e -> e)
-      in
-      if T.enabled () && r = Ok () then T.Counter.incr c_replayed;
-      r
-    in
-    match Wal.replay ~io ~compress:enc ~config ~gen wpath ~f:apply with
+    let collect, tail = tail_collector ~config ~wpath in
+    match Wal.replay ~io ~compress:enc ~config ~gen wpath ~f:collect with
     | Ok r ->
+        let* store = build (merge (keys, values) (tail ())) in
+        if T.enabled () then T.Counter.add c_replayed r.Wal.records;
         let* wal = Wal.open_append ~io ~config ~gen wpath in
-        Ok (store, enc, wal, keys, r.Wal.records, r.Wal.truncated)
+        Ok (store, enc, wal, snapshot_keys, r.Wal.records, r.Wal.truncated)
     | Error (E.Torn_log _) ->
         (* the header never became durable, so no record in this file was
            ever acknowledged: restart it empty *)
+        let* store = build (keys, values) in
         let* wal = Wal.create ~io ~compress:enc ~config ~gen wpath in
-        Ok (store, enc, wal, keys, 0, true)
+        Ok (store, enc, wal, snapshot_keys, 0, true)
     | Error _ as e -> e
 
 let open_or_create ?(config = Hyperion.Config.default) ?compress
@@ -274,10 +358,10 @@ let open_or_create ?(config = Hyperion.Config.default) ?compress
           in
           attempt [] gens)
   in
-  (* Post-recovery heap audit: snapshot load and WAL replay rebuild the
-     arenas from scratch, so a bug anywhere in that path shows up here as
-     a leaked or double-referenced chunk before the handle is ever used
-     (DESIGN.md section 11).  On a fresh directory the store is empty and
+  (* Post-recovery heap audit: the one sorted build over snapshot and WAL
+     tail makes the arenas from scratch, so a bug anywhere in that path
+     shows up here as a leaked or double-referenced chunk before the handle
+     is ever used (DESIGN.md section 11).  On a fresh directory the store is empty and
      the sweep is effectively free. *)
   Result.bind opened (fun t ->
       match Analyze.Heapcheck.first_problem (Analyze.Heapcheck.audit_store t.store) with

@@ -4,12 +4,16 @@
     ([snapshot-<gen>.hyp], see {!Snapshot}) plus an append-only log of the
     mutations acknowledged since it was taken ([wal-<gen>.log], see
     {!Wal}).  {!open_or_create} recovers the store as {e latest valid
-    snapshot + WAL replay}; the logged mutation API appends each record to
-    the WAL before applying it to the in-memory store (append-first, with
-    truncation as compensation when the store rejects), makes records
-    durable in groups (fsync every [sync_every_ops] records or
-    [sync_every_bytes] bytes, whichever comes first), and rotates the log
-    into a fresh snapshot generation once it outgrows [rotate_bytes].
+    snapshot + WAL tail}, built in one sorted pass: the log's records are
+    folded to one final binding per key ({!Wal.step}), merged with the
+    snapshot's ascending run, and handed to {!Hyperion.Store.of_sorted}
+    once, never replayed one put at a time.  The logged mutation API
+    appends each record to the WAL before applying it to the in-memory
+    store (append-first, with truncation as compensation when the store
+    rejects), makes records durable in groups (fsync every
+    [sync_every_ops] records or [sync_every_bytes] bytes, whichever comes
+    first), and rotates the log into a fresh snapshot generation once it
+    outgrows [rotate_bytes].
 
     Recovery invariants (chaos-tested, DESIGN.md section 8):
     - a mutation whose record was fsynced before a crash is always
@@ -36,7 +40,7 @@ type t
 type recovery = {
   generation : int;  (** generation the store was recovered from *)
   snapshot_keys : int;  (** bindings loaded from the base snapshot *)
-  replayed_ops : int;  (** WAL records applied on top *)
+  replayed_ops : int;  (** WAL records folded in on top *)
   wal_truncated : bool;  (** a torn WAL tail was cut off *)
   skipped : string list;
       (** newer snapshot files that failed validation and were passed over,
@@ -58,9 +62,12 @@ val open_or_create :
     [rotate_bytes = 64 MiB].  Every syscall the handle ever issues goes
     through [io] (default {!Io.none}), the fault-injection and retry
     layer.  All failures — corrupt snapshot, foreign format version, torn
-    WAL header, OS errors — come back as typed errors; this function never
-    raises (except on a [compress]/[config.compress] id disagreement,
-    which is a wiring bug).
+    WAL header, OS errors — come back as typed errors; a logged key the
+    store cannot hold fails recovery with the error a put of it returns
+    ([Key_too_long], or [Io_error] naming the record when pre-processing
+    rejects it).  This function never raises (except on a
+    [compress]/[config.compress] id disagreement, which is a wiring
+    bug).
 
     {b Key compression.}  This layer stores and logs keys {e exactly as
     given} — when [config.compress] is non-zero the caller (shard layer,

@@ -230,7 +230,7 @@ let to_stored path config keys =
   in
   go 0
 
-let load ?(io = Io.none) ?expect ~config path =
+let load_sorted ?(io = Io.none) ?expect ~config path =
   match Io.read_file io path with
   | Error _ as e -> e
   | Ok buf -> (
@@ -281,7 +281,12 @@ let load ?(io = Io.none) ?expect ~config path =
                 | Ok (keys, values) -> (
                     match to_stored path config keys with
                     | Error _ as e -> e
-                    | Ok () -> (
-                        match Hyperion.Store.of_sorted ~config keys values with
-                        | Ok store -> Ok (store, enc)
-                        | Error _ as e -> e))))
+                    | Ok () -> Ok (keys, values, enc))))
+
+let load ?io ?expect ~config path =
+  match load_sorted ?io ?expect ~config path with
+  | Error _ as e -> e
+  | Ok (keys, values, enc) -> (
+      match Hyperion.Store.of_sorted ~config keys values with
+      | Ok store -> Ok (store, enc)
+      | Error _ as e -> e)

@@ -62,11 +62,24 @@ val save :
     @raise Invalid_argument when the store config's [compress] id
     disagrees with [compress] — that is a wiring bug, not a disk state. *)
 
+val load_sorted :
+  ?io:Io.t -> ?expect:Compress.t -> config:Hyperion.Config.t -> string ->
+  ( string array * int64 option array * Compress.t,
+    Hyperion.Hyperion_error.t )
+  result
+(** The decode half of {!load}: every binding of [path] as {e stored}
+    keys ({!Hyperion.Store.stored_key}) in strictly ascending order, with
+    their values and the encoder the keys are encoded under.  Every check
+    {!load} makes on the file is made here; what is left is
+    {!Hyperion.Store.of_sorted}.  Recovery merges this run with the folded
+    WAL tail before building. *)
+
 val load :
   ?io:Io.t -> ?expect:Compress.t -> config:Hyperion.Config.t -> string ->
   (Hyperion.Store.t * Compress.t, Hyperion.Hyperion_error.t) result
-(** Rebuild a store from [path], returning it with the encoder its keys
-    are encoded under.  [Version_mismatch] when the format version is
+(** {!load_sorted} then {!Hyperion.Store.of_sorted}: rebuild a store
+    from [path], returning it with the encoder its keys are encoded
+    under.  [Version_mismatch] when the format version is
     neither 1 nor 2, when the file's encoder scheme differs from
     [config.compress], or when [expect] is given and the file's encoder
     is not {!Compress.equal} to it (the [found]/[expected] ints carry

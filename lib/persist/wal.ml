@@ -5,6 +5,11 @@ let magic = "HYPWAL\x00\x01"
 
 type op = Put of string * int64 | Add of string | Delete of string
 
+let step state = function
+  | Put (_, v) -> Some (Some v)
+  | Add _ -> if Option.is_none state then Some None else state
+  | Delete _ -> None
+
 (* --- writer --------------------------------------------------------- *)
 
 (* A writer is owned by exactly one [Persist.t] handle; its mutable

@@ -19,6 +19,15 @@ val magic : string
 
 type op = Put of string * int64 | Add of string | Delete of string
 
+val step : int64 option option -> op -> int64 option option
+(** [step state op] is one key's binding after [op], given its binding
+    [state] before: [None] is absent, [Some None] a member without a value
+    (type-10 key), [Some (Some v)] the value [v].  [Put] sets the value,
+    [Delete] removes the key, and [Add] is insert-if-absent: it leaves a
+    present key, and its value, alone.  Pure; the key inside [op] is not
+    read.  Recovery folds each key's log records with it, and the chaos
+    oracle applies acknowledged mutations with it. *)
+
 (** {1 Writing} *)
 
 type writer

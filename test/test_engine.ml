@@ -233,6 +233,20 @@ let test_long_keys () =
   Alcotest.(check bool) "delete k1" true (O.delete trie k1);
   Alcotest.(check bool) "k2 survives" true (O.find trie k2 = Some (Some 2L))
 
+(* The first key of an empty trie used to be encoded by per-byte-pair
+   recursion, superlinear in key length; at the 2^20-byte cap it must take
+   the same iterative long-key path a put into a non-empty trie takes. *)
+let test_first_key_at_cap () =
+  let trie = O.create default in
+  let key = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i * 7 mod 26))) in
+  let t0 = Unix.gettimeofday () in
+  ignore (O.put trie key (Some 9L));
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 1.0 then Alcotest.failf "first 2^20-byte key took %.2f s" dt;
+  Alcotest.(check bool) "found" true (O.find trie key = Some (Some 9L));
+  Alcotest.(check bool) "a prefix is not a key" true
+    (O.find trie (String.sub key 0 1000) = None)
+
 let test_delete_to_empty () =
   let trie = O.create tiny in
   let rng = Workload.Mt19937_64.create 9L in
@@ -378,6 +392,7 @@ let () =
           Alcotest.test_case "jump structures built" `Quick test_jumps_built;
           Alcotest.test_case "jumps vs no jumps" `Quick test_jumps_equal_no_jumps;
           Alcotest.test_case "long keys" `Quick test_long_keys;
+          Alcotest.test_case "2^20-byte first key" `Quick test_first_key_at_cap;
           Alcotest.test_case "delete to empty frees all" `Quick test_delete_to_empty;
           Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
           Alcotest.test_case "delta density on dense keys" `Quick

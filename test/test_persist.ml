@@ -402,6 +402,242 @@ let test_store_reject_compensates_wal () =
     (S.get s "alsogood");
   ok "close2" (Persist.close p2)
 
+(* --- recovery by one merge = recovery by put-replay ------------------- *)
+
+module Wal = Persist.Wal
+
+(* The three directory flavours the merge must agree with put-replay on:
+   plain keys, pre-processed keys, and dict-encoded keys. *)
+let dict_enc =
+  Compress.Dict (Compress.train (Seq.init 200 (Printf.sprintf "key-%d/x")))
+
+let flavours =
+  [|
+    ("plain", cfg, Compress.Identity);
+    ("preprocess", cfg_pre, Compress.Identity);
+    ("dict", { cfg with compress = 1 }, dict_enc);
+  |]
+
+(* Pool keys 0..19 may be in the snapshot; 20..31 appear only in the log.
+   Every key is at least 4 bytes, as pre-processing needs. *)
+let pool_key i = Printf.sprintf "key%02d%s" i (String.make (i mod 5) 'q')
+
+type merge_case = {
+  flavour : int;
+  snap : (int * int64 option) list;  (** bindings put into the snapshot *)
+  log : Wal.op list;  (** raw keys; encoded when written *)
+  torn : bool;  (** one more record, cut short *)
+}
+
+let print_op = function
+  | Wal.Put (k, v) -> Printf.sprintf "put %s %Ld" k v
+  | Wal.Add k -> "add " ^ k
+  | Wal.Delete k -> "del " ^ k
+
+let print_merge_case c =
+  Printf.sprintf "%s snap=[%s] log=[%s]%s"
+    (let n, _, _ = flavours.(c.flavour) in
+     n)
+    (String.concat "; "
+       (List.map
+          (fun (i, v) ->
+            Printf.sprintf "%s=%s" (pool_key i)
+              (match v with Some v -> Int64.to_string v | None -> "-"))
+          c.snap))
+    (String.concat "; " (List.map print_op c.log))
+    (if c.torn then " torn" else "")
+
+let gen_merge_case =
+  QCheck.Gen.(
+    let value = map Int64.of_int (int_bound 99) in
+    let op =
+      map3
+        (fun kind i v ->
+          let k = pool_key i in
+          match kind with
+          | 0 | 1 -> Wal.Put (k, v)
+          | 2 -> Wal.Add k
+          | _ -> Wal.Delete k)
+        (int_bound 3) (int_bound 31) value
+    in
+    map
+      (fun (flavour, snap, log, torn) -> { flavour; snap; log; torn })
+      (quad (int_bound 2)
+         (list_size (int_bound 20) (pair (int_bound 19) (opt value)))
+         (list_size (int_bound 40) op)
+         bool))
+
+let copy_file src dst = write_file dst (read_file src)
+
+let rekey enc = function
+  | Wal.Put (k, v) -> Wal.Put (Compress.encode enc k, v)
+  | Wal.Add k -> Wal.Add (Compress.encode enc k)
+  | Wal.Delete k -> Wal.Delete (Compress.encode enc k)
+
+(* Write generation 0 of [c] into a fresh directory by hand, so the log can
+   hold what the logged API never writes (a delete of an absent key). *)
+let write_case c =
+  let _, config, enc = flavours.(c.flavour) in
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let store = S.create ~config () in
+  List.iter
+    (fun (i, v) ->
+      let k = Compress.encode enc (pool_key i) in
+      match v with Some v -> S.put store k v | None -> S.add store k)
+    c.snap;
+  ignore (ok "save" (Persist.save_snapshot ~compress:enc store
+                       (Persist.snapshot_file ~dir ~gen:0)));
+  let wpath = Persist.wal_file ~dir ~gen:0 in
+  let w = ok "wal" (Wal.create ~compress:enc ~config ~gen:0 wpath) in
+  List.iter (fun op -> ignore (ok "append" (Wal.append w (rekey enc op)))) c.log;
+  let torn_bytes =
+    if c.torn then ok "append" (Wal.append w (rekey enc (Wal.Put (pool_key 0, 7L))))
+    else 0
+  in
+  ok "wal close" (Wal.close w);
+  if c.torn then
+    Unix.truncate wpath ((Unix.stat wpath).Unix.st_size - (torn_bytes / 2));
+  dir
+
+(* The put-replay oracle: load the snapshot, then one typed mutation per
+   log record in log order, on a copy of the files (replay truncates). *)
+let put_replay c dir =
+  let _, config, enc = flavours.(c.flavour) in
+  let copy = fresh_dir () in
+  Unix.mkdir copy 0o755;
+  let snap = Persist.snapshot_file ~dir:copy ~gen:0
+  and wal = Persist.wal_file ~dir:copy ~gen:0 in
+  copy_file (Persist.snapshot_file ~dir ~gen:0) snap;
+  copy_file (Persist.wal_file ~dir ~gen:0) wal;
+  let store, _ = ok "oracle load" (Persist.Snapshot.load ~config snap) in
+  let snapshot_keys = S.length store in
+  let r =
+    Wal.replay ~compress:enc ~config ~gen:0 wal ~f:(function
+      | Wal.Put (k, v) -> S.put_result store k v
+      | Wal.Add k -> S.add_result store k
+      | Wal.Delete k -> Result.map ignore (S.delete_result store k))
+  in
+  Sys.remove snap;
+  Sys.remove wal;
+  Unix.rmdir copy;
+  Result.map (fun r -> (store, snapshot_keys, r)) r
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* [Ok ()] when merge recovery and put-replay agree on the bindings, the
+   length and every field of the recovery record; [Error why] otherwise. *)
+let merge_agrees c =
+  let _, config, enc = flavours.(c.flavour) in
+  let dir = write_case c in
+  let oracle = put_replay c dir in
+  let merged = Persist.open_or_create ~config ~compress:enc dir in
+  let verdict =
+    match (oracle, merged) with
+    | Error e, _ -> Error ("oracle failed: " ^ E.to_string e)
+    | _, Error e -> Error ("merge failed: " ^ E.to_string e)
+    | Ok (store, snapshot_keys, r), Ok p ->
+        let rc = Persist.recovery p in
+        let m = Persist.store p in
+        let v =
+          if dump m <> dump store then Error "bindings differ"
+          else if S.length m <> S.length store then
+            Error (Printf.sprintf "length %d vs %d" (S.length m) (S.length store))
+          else if
+            rc
+            <> {
+                 Persist.generation = 0;
+                 snapshot_keys;
+                 replayed_ops = r.Wal.records;
+                 wal_truncated = r.Wal.truncated;
+                 skipped = [];
+               }
+          then
+            Error
+              (Printf.sprintf "recovery record: %d keys, %d ops, truncated %b"
+                 rc.Persist.snapshot_keys rc.Persist.replayed_ops
+                 rc.Persist.wal_truncated)
+          else if r.Wal.truncated <> c.torn then Error "torn frame not seen"
+          else Ok ()
+        in
+        ok "close" (Persist.close p);
+        v
+  in
+  remove_dir dir;
+  verdict
+
+let prop_merge_equals_replay =
+  QCheck.Test.make ~count:120 ~name:"merge recovery = put-replay recovery"
+    (QCheck.make ~print:print_merge_case gen_merge_case) (fun c ->
+      match merge_agrees c with
+      | Ok () -> true
+      | Error why -> QCheck.Test.fail_report why)
+
+(* Every case the fold must get right, in one log, in every flavour. *)
+let test_merge_fixed_cases () =
+  let k = pool_key in
+  let case flavour =
+    {
+      flavour;
+      snap = [ (0, Some 1L); (1, Some 2L); (2, None); (3, Some 4L) ];
+      log =
+        [
+          Wal.Delete (k 0); Wal.Add (k 0);  (* add after delete: no value *)
+          Wal.Add (k 1);  (* add over a valued snapshot key keeps it *)
+          Wal.Add (k 2);  (* add over a value-less member *)
+          Wal.Delete (k 25);  (* delete of an absent key *)
+          Wal.Put (k 3, 5L); Wal.Put (k 3, 6L); Wal.Put (k 3, 7L);
+          Wal.Put (k 20, 8L); Wal.Add (k 21);  (* keys only in the log *)
+          Wal.Add (k 22); Wal.Put (k 22, 9L); Wal.Delete (k 22);
+          Wal.Add (k 22);
+        ];
+      torn = true;
+    }
+  in
+  for f = 0 to Array.length flavours - 1 do
+    match merge_agrees (case f) with
+    | Ok () -> ()
+    | Error why -> Alcotest.failf "%s: %s" (print_merge_case (case f)) why
+  done
+
+(* A logged key the trie cannot hold fails recovery with the same typed
+   error a put of it returns, and never raises. *)
+let test_merge_typed_key_errors () =
+  let recover_with config log =
+    let dir = fresh_dir () in
+    Unix.mkdir dir 0o755;
+    ignore (ok "save" (Persist.save_snapshot (S.create ~config ())
+                         (Persist.snapshot_file ~dir ~gen:0)));
+    let w = ok "wal" (Wal.create ~config ~gen:0 (Persist.wal_file ~dir ~gen:0)) in
+    List.iter (fun op -> ignore (ok "append" (Wal.append w op))) log;
+    ok "wal close" (Wal.close w);
+    let r = Persist.open_or_create ~config dir in
+    (match r with Ok p -> ok "close" (Persist.close p) | Error _ -> ());
+    remove_dir dir;
+    r
+  in
+  let cap = String.make (1 lsl 20) 'c' in
+  let over = cap ^ "c" in
+  expect_error "over-long key" (recover_with cfg [ Wal.Put (over, 1L) ])
+    (function E.Key_too_long n -> n = (1 lsl 20) + 1 | _ -> false);
+  (* pre-processing adds a byte: the stored key is over the cap *)
+  expect_error "over-long stored key"
+    (recover_with cfg_pre [ Wal.Put ("keep", 1L); Wal.Add cap ])
+    (function E.Key_too_long n -> n = (1 lsl 20) + 1 | _ -> false);
+  expect_error "key pre-processing rejects"
+    (recover_with cfg_pre [ Wal.Put ("ab", 1L) ])
+    (function E.Io_error _ -> true | _ -> false);
+  (* a delete of a key the trie cannot hold removes nothing *)
+  match recover_with cfg_pre [ Wal.Put ("keep", 1L); Wal.Delete cap ] with
+  | Error e -> Alcotest.failf "delete of an over-long key: %s" (E.to_string e)
+  | Ok p ->
+      Alcotest.(check int) "both records counted" 2
+        (Persist.recovery p).Persist.replayed_ops;
+      Alcotest.(check (option int64)) "other key kept" (Some 1L)
+        (S.get (Persist.store p) "keep")
+
 (* --- crash-recovery chaos sweep (acceptance: CI runs 100 seeds) ------ *)
 
 let test_crash_chaos_sweep () =
@@ -451,6 +687,14 @@ let () =
             test_wal_torn_tail_truncated;
           Alcotest.test_case "rotation" `Quick test_rotation;
           Alcotest.test_case "snapshot_now" `Quick test_snapshot_now;
+        ] );
+      ( "merge",
+        [
+          Alcotest.test_case "fixed cases, every flavour" `Quick
+            test_merge_fixed_cases;
+          Alcotest.test_case "typed key errors" `Quick
+            test_merge_typed_key_errors;
+          QCheck_alcotest.to_alcotest prop_merge_equals_replay;
         ] );
       ( "determinism",
         [
