@@ -316,6 +316,171 @@ let test_snapshot_roundtrip () =
       Sys.remove path)
     configs
 
+
+(* ---- golden layout ---------------------------------------------------- *)
+
+(* What the builder lays out for three fixed key sets under four configs,
+   recorded from the string-building builder this one replaced: resident
+   bytes, the structural counts, a digest of the iteration and a digest
+   of every allocated chunk's bytes (so HP values, and with them the
+   allocation order, are pinned too). *)
+
+let golden_ngrams =
+  lazy
+    (Array.to_list
+       (Array.mapi
+          (fun i (k, v) -> (k, if i mod 7 = 0 then None else Some v))
+          (Workload.Ngram.generate ~n:20_000 ())))
+
+let golden_shared =
+  lazy
+    (let prefix = String.concat "/" (List.init 12 (fun i -> Printf.sprintf "shared-prefix-%02d" i)) in
+     List.init 20_000 (fun i ->
+         ( Printf.sprintf "%s%s%c%c/%d" prefix
+             (if i mod 3 = 0 then "/a/" else "/b/")
+             (Char.chr (i mod 251)) (Char.chr (i / 3 * 7 mod 256)) i,
+           if i mod 5 = 0 then None else Some (Int64.of_int i) )))
+
+let golden_long =
+  lazy
+    (List.init 300 (fun i ->
+         ( String.make (513 + (i mod 3)) (Char.chr (97 + (i mod 4)))
+           ^ String.init (i * 13 mod 400) (fun j -> Char.chr (97 + ((i + j) mod 26))),
+           if i mod 4 = 0 then None else Some (Int64.of_int (i * 1000)) )))
+
+let golden_configs =
+  [
+    ("default", H.Config.default);
+    ("strings", H.Config.strings);
+    ("preprocess", { H.Config.default with preprocess = true });
+    ("split_a=256", { H.Config.default with split_a = 256 });
+    ("split_a=256,min_piece=64", { H.Config.default with split_a = 256; split_min_piece = 64 });
+    (* budgets at their floors: one-byte path compression, 9-byte embedded
+       containers, ejection from 64-byte regions, jump fields everywhere
+       and no delta encoding *)
+    ( "tiny",
+      {
+        H.Config.default with
+        embedded_max = 9;
+        pc_max = 1;
+        embedded_eject_parent_limit = 64;
+        js_threshold = 1;
+        tnode_jt_threshold = 2;
+        container_jt_threshold = 1;
+        delta_encoding = false;
+        chunks_per_bin = 64;
+      } );
+    ( "eject",
+      { H.Config.default with embedded_max = 64; pc_max = 4; embedded_eject_parent_limit = 64 } );
+  ]
+
+let iter_digest s =
+  let b = Buffer.create (1 lsl 16) in
+  S.iter s (fun k v ->
+      Buffer.add_string b k;
+      Buffer.add_char b '\000';
+      match v with
+      | None -> Buffer.add_char b '-'
+      | Some v -> Buffer.add_string b (Int64.to_string v));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every allocated chunk's bytes in allocator order, and each trie's root
+   HP. *)
+let heap_digest s =
+  let b = Buffer.create (1 lsl 16) in
+  Array.iter
+    (fun (trie : H.Types.trie) ->
+      let mm = trie.H.Types.mm in
+      Buffer.add_string b (string_of_int trie.H.Types.root);
+      H.Memman.audit_iter_chunks mm (fun c ->
+          let hp =
+            H.Hp.make ~superbin:c.H.Memman.a_superbin ~metabin:c.a_metabin
+              ~bin:c.a_bin ~chunk:c.a_chunk
+          in
+          let add (buf, off, len) = Buffer.add_subbytes b buf off len in
+          match c.a_kind with
+          | H.Memman.A_small when c.a_used ->
+              let buf, off = H.Memman.resolve mm hp in
+              add (buf, off, c.a_cap)
+          | H.Memman.A_plain ->
+              let buf, off = H.Memman.resolve mm hp in
+              add (buf, off, c.a_cap)
+          | H.Memman.A_chain_head ->
+              for slot = 0 to 7 do
+                Option.iter add (H.Memman.ceb_slot mm hp ~slot)
+              done
+          | _ -> ()))
+    (S.internal_tries s);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let layout s =
+  let st = S.stats s in
+  ( S.memory_usage s,
+    [
+      st.H.Stats.containers;
+      st.split_containers;
+      st.embedded_containers;
+      st.pc_nodes;
+      st.pc_suffix_bytes;
+      st.t_nodes;
+      st.s_nodes;
+      st.delta_encoded;
+      st.values;
+      st.members_without_value;
+      st.jump_successors;
+      st.tnode_jump_tables;
+      st.container_jt_entries;
+    ],
+    iter_digest s,
+    heap_digest s )
+
+let golden =
+  [
+    ("ngrams", "default", 265139552, [ 823; 0; 9619; 19214; 310534; 20689; 30314; 14500; 17142; 2858; 2168; 54; 5110 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "cbac392b498db387d0f3d632c294c4a8");
+    ("ngrams", "strings", 263706384, [ 736; 0; 9706; 19214; 310534; 20689; 30314; 14500; 17142; 2858; 2168; 54; 5110 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "0585780cbb05981b29e73c5e74124297");
+    ("ngrams", "preprocess", 259781472, [ 922; 0; 9995; 19189; 310800; 20872; 30629; 12437; 17142; 2858; 1997; 54; 3941 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "7fe87dfd755a6120bfc51dea5ec0bf49");
+    ("ngrams", "split_a=256", 265139552, [ 823; 0; 9619; 19214; 310534; 20689; 30314; 14500; 17142; 2858; 2168; 54; 5110 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "cbac392b498db387d0f3d632c294c4a8");
+    ("ngrams", "split_a=256,min_piece=64", 243849576, [ 917; 93; 9619; 19214; 310534; 20689; 30314; 14500; 17142; 2858; 2168; 54; 4991 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "b001b32bcdf4dac75b1491a259539990");
+    ("ngrams", "tiny", 8339216, [ 158159; 0; 2656; 9788; 9788; 171062; 180687; 0; 17142; 2858; 20562; 4585; 76020 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "5445de9fac4e57fcec42c46a6eab7eaa");
+    ("ngrams", "eject", 65284488, [ 22267; 0; 110671; 19214; 65542; 143185; 152810; 14500; 17142; 2858; 3744; 54; 5306 ], "9bbce56d0b015c9f1a3ebfd8a89cd8a4", "d6adc55d09969b31c3d02c134f4167f0");
+    ("shared", "default", 2118520, [ 19; 2; 100; 20000; 108890; 606; 20104; 14705; 16000; 4000; 502; 502; 546 ], "00144c01871662adf3293046f602980e", "c253efd6f738b2ec8d94704491669784");
+    ("shared", "strings", 2118520, [ 19; 2; 100; 20000; 108890; 606; 20104; 14705; 16000; 4000; 502; 502; 546 ], "00144c01871662adf3293046f602980e", "c253efd6f738b2ec8d94704491669784");
+    ("shared", "preprocess", 19023600, [ 507; 0; 100; 20000; 88890; 20105; 20606; 14719; 16000; 4000; 2; 2; 19327 ], "00144c01871662adf3293046f602980e", "cb929623dc2f433870491bc047bf0930");
+    ("shared", "split_a=256", 2118520, [ 19; 2; 100; 20000; 108890; 606; 20104; 14705; 16000; 4000; 502; 502; 546 ], "00144c01871662adf3293046f602980e", "c253efd6f738b2ec8d94704491669784");
+    ("shared", "split_a=256,min_piece=64", 2118520, [ 19; 2; 100; 20000; 108890; 606; 20104; 14705; 16000; 4000; 502; 502; 546 ], "00144c01871662adf3293046f602980e", "c253efd6f738b2ec8d94704491669784");
+    ("shared", "tiny", 1678792, [ 46035; 2; 3980; 9090; 9090; 50506; 70004; 0; 16000; 4000; 606; 502; 1190 ], "00144c01871662adf3293046f602980e", "25417bce186d70a91fbadfa65d1685a1");
+    ("shared", "eject", 2081952, [ 19022; 2; 93; 20000; 70890; 19606; 39104; 14709; 16000; 4000; 502; 502; 469 ], "00144c01871662adf3293046f602980e", "cc40500ea8d50ef3981444c857695a92");
+    ("long", "default", 28804888, [ 262; 0; 14867; 155; 6134; 15184; 15284; 155; 225; 75; 8; 0; 56 ], "c875b6da949d48ba0aa92c8ab59c7509", "e6fdde49d90787e161d72bc72b6837d3");
+    ("long", "strings", 28804888, [ 262; 0; 14867; 155; 6134; 15184; 15284; 155; 225; 75; 8; 0; 56 ], "c875b6da949d48ba0aa92c8ab59c7509", "e6fdde49d90787e161d72bc72b6837d3");
+    ("long", "preprocess", 32736280, [ 262; 0; 14851; 156; 6122; 15216; 15268; 155; 225; 75; 4; 0; 112 ], "c875b6da949d48ba0aa92c8ab59c7509", "f0a9f75eee3105569f87fc7bcd224736");
+    ("long", "split_a=256", 28804888, [ 262; 0; 14867; 155; 6134; 15184; 15284; 155; 225; 75; 8; 0; 56 ], "c875b6da949d48ba0aa92c8ab59c7509", "e6fdde49d90787e161d72bc72b6837d3");
+    ("long", "split_a=256,min_piece=64", 28804888, [ 262; 0; 14867; 155; 6134; 15184; 15284; 155; 225; 75; 8; 0; 56 ], "c875b6da949d48ba0aa92c8ab59c7509", "e6fdde49d90787e161d72bc72b6837d3");
+    ("long", "tiny", 1095408, [ 18118; 0; 39; 78; 78; 18212; 18312; 0; 225; 75; 13071; 8; 91140 ], "c875b6da949d48ba0aa92c8ab59c7509", "8d5751116f34217d22cb52e82b8657a1");
+    ("long", "eject", 3685832, [ 1713; 0; 16212; 155; 542; 17980; 18080; 155; 225; 75; 8; 0; 56 ], "c875b6da949d48ba0aa92c8ab59c7509", "077d2ef3320a05b25718133c02ebdb5f");
+  ]
+
+let test_golden_layout () =
+  List.iter
+    (fun (set, bindings) ->
+      List.iter
+        (fun (name, cfg) ->
+          let bindings = List.filter (fun (k, _) -> usable cfg k) (Lazy.force bindings) in
+          let mem, counts, it, heap = layout (of_sorted cfg bindings) in
+          let got =
+            Printf.sprintf "(%S, %S, %d, [ %s ], %S, %S);" set name mem
+              (String.concat "; " (List.map string_of_int counts))
+              it heap
+          in
+          match List.find_opt (fun (s, n, _, _, _, _) -> s = set && n = name) golden with
+          | Some (_, _, mem', counts', it', heap') ->
+              Alcotest.(check int) (set ^ "/" ^ name ^ " memory_usage") mem' mem;
+              Alcotest.(check (list int)) (set ^ "/" ^ name ^ " stats") counts' counts;
+              Alcotest.(check string) (set ^ "/" ^ name ^ " iter digest") it' it;
+              Alcotest.(check string) (set ^ "/" ^ name ^ " heap digest") heap' heap
+          | None -> Alcotest.failf "no golden row for %s" got)
+        golden_configs)
+    [ ("ngrams", golden_ngrams); ("shared", golden_shared); ("long", golden_long) ]
+
 let () =
   Alcotest.run "bulk"
     [
@@ -325,6 +490,7 @@ let () =
           QCheck_alcotest.to_alcotest q_cap_key;
           Alcotest.test_case "dense fan-out" `Quick test_dense;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
+          Alcotest.test_case "golden layout" `Quick test_golden_layout;
         ] );
       ( "snapshot",
         [
