@@ -13,10 +13,24 @@
     (free tail under 32 bytes); no chunk is freed along the way. *)
 
 val build :
-  Types.trie -> string array -> int64 option array -> lo:int -> hi:int -> unit
-(** [build trie keys vals ~lo ~hi] makes the empty [trie] hold the keys
-    [keys.(lo) .. keys.(hi - 1)] with the terminals [vals] ([None]: a key
-    stored without a value).  The keys must be strictly ascending,
-    non-empty and at most 2^20 bytes; {!Store.of_sorted} checks that.
+  Types.trie ->
+  string array ->
+  int64 option array ->
+  lcp:int array ->
+  lo:int ->
+  hi:int ->
+  unit
+(** [build trie keys vals ~lcp ~lo ~hi] makes the empty [trie] hold the
+    keys [keys.(lo) .. keys.(hi - 1)] with the terminals [vals] ([None]: a
+    key stored without a value).  [lcp.(i)] is the length of the prefix
+    [keys.(i)] shares with [keys.(i - 1)] ({!prefix_lengths}).  The keys
+    must be strictly ascending, non-empty and at most 2^20 bytes;
+    {!Store.of_sorted} checks that.
     @raise Hyperion_error.Error on allocator failure or
     [Container_overflow]; the trie is then unusable and must be dropped. *)
+
+val prefix_lengths : string array -> int array
+(** [prefix_lengths keys] is the [lcp] array {!build} needs: entry [i]
+    is the length of the prefix [keys.(i)] shares with [keys.(i - 1)]
+    (entry 0 is 0).
+    @raise Invalid_argument when the keys are not strictly ascending. *)

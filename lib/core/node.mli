@@ -31,6 +31,11 @@ type child = No_child | Child_hp | Child_embedded | Child_pc
 val typ_code : typ -> int
 val typ_of_code : int -> typ
 
+val child_code : child -> int
+(** The 2-bit child field value (0 none, 1 HP, 2 embedded, 3 PC). *)
+
+val child_of_code : int -> child
+
 (** {1 Flag-byte accessors} *)
 
 val typ_of_flag : int -> typ

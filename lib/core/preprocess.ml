@@ -4,22 +4,28 @@
    paper's choice, preserving delta-encoding efficiency and uniform
    partial-key distribution); input bytes 4.. are copied unchanged. *)
 
-let encode key =
-  let n = String.length key in
+let encode_sub src ~pos ~len:n =
   if n < 4 then invalid_arg "Preprocess.encode: keys must be >= 4 bytes";
   let out = Bytes.create (n + 1) in
-  Bytes.set out 0 key.[0];
+  Bytes.set out 0 (Bytes.get src pos);
   let stream =
-    (Char.code key.[1] lsl 16) lor (Char.code key.[2] lsl 8) lor Char.code key.[3]
+    (Bytes.get_uint8 src (pos + 1) lsl 16)
+    lor (Bytes.get_uint8 src (pos + 2) lsl 8)
+    lor Bytes.get_uint8 src (pos + 3)
   in
   for i = 0 to 3 do
     let six = (stream lsr (18 - (6 * i))) land 0x3f in
     Bytes.set_uint8 out (1 + i) (six lsl 2)
   done;
-  Bytes.blit_string key 4 out 5 (n - 4);
+  Bytes.blit src (pos + 4) out 5 (n - 4);
   (* SAFETY: [out] is freshly allocated, fully written, and never mutated
      or aliased after this conversion. *)
   Bytes.unsafe_to_string out
+
+let encode key =
+  (* SAFETY: the alias is only read by [encode_sub], never written, so
+     the immutable string is not mutated through it. *)
+  encode_sub (Bytes.unsafe_of_string key) ~pos:0 ~len:(String.length key)
 
 let decode key =
   let n = String.length key in

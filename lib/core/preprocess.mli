@@ -14,6 +14,9 @@
 val encode : string -> string
 (** @raise Invalid_argument when the key is shorter than 4 bytes. *)
 
+val encode_sub : Bytes.t -> pos:int -> len:int -> string
+(** {!encode} of the [len] bytes of a buffer at [pos], copying them once. *)
+
 val decode : string -> string
 (** Inverse of {!encode}.  @raise Invalid_argument on strings that are not
     in the image of {!encode}. *)

@@ -36,56 +36,67 @@ let refresh cbox =
     cbox.base <- base
   end
 
-(* Lay a fresh container image at [base]: header, room for a container
-   jump table of [jump_levels] levels, then [content].  Chunks come zeroed
-   from the allocator, so the table reads empty until the caller fills
-   it; the tag byte is left for the caller to recompute. *)
-let write_image buf base ~size ~jump_levels content =
-  let len = String.length content in
-  let jt = 7 * jump_levels * Layout.jt_entry_size in
+(* Write a fresh container header at [base] for [len] content bytes
+   behind room for a container jump table of [jump_levels] levels.
+   Chunks come zeroed from the allocator, so the table reads empty until
+   the caller fills it; the tag byte is left for the caller to
+   recompute. *)
+let write_header buf base ~size ~jump_levels len =
   Layout.write_header buf base ~size
-    ~free:(size - Layout.header_size - jt - len)
-    ~jump_levels ~split_delay:0;
-  Bytes.blit_string content 0 buf (base + Layout.header_size + jt) len
+    ~free:(size - Layout.header_size - (7 * jump_levels * Layout.jt_entry_size) - len)
+    ~jump_levels ~split_delay:0
 
-let image_size ~jump_levels content =
+let image_size ~jump_levels len =
   let size =
     max 32
       (round32
-         (Layout.header_size
-         + (7 * jump_levels * Layout.jt_entry_size)
-         + String.length content))
+         (Layout.header_size + (7 * jump_levels * Layout.jt_entry_size) + len))
   in
   if size > Layout.max_container_size then
     Hyperion_error.fail Hyperion_error.Container_overflow;
   size
 
-let new_container ?(jump_levels = 0) trie content =
-  let size = image_size ~jump_levels content in
+let alloc_container ?(jump_levels = 0) trie len =
+  let size = image_size ~jump_levels len in
   let hp = Memman.alloc trie.mm size in
   let buf, base = Memman.resolve trie.mm hp in
-  write_image buf base ~size ~jump_levels content;
-  (* the recycled chunk's tag byte is stale garbage until this *)
-  Tag.recompute buf base;
+  write_header buf base ~size ~jump_levels len;
   hp
 
-let write_slot ?(jump_levels = 0) trie ceb slot content =
-  let size = image_size ~jump_levels content in
+let alloc_slot ?(jump_levels = 0) trie ceb slot len =
+  let size = image_size ~jump_levels len in
   Memman.ceb_set_slot trie.mm ceb ~slot size;
   match Memman.ceb_slot trie.mm ceb ~slot with
   | Some (buf, off, _) ->
-      write_image buf off ~size ~jump_levels content;
-      (* Callers recompute the tag byte once the content is fully
-         consistent — a split's right piece still needs its jump offsets
-         adjusted, and recycled chunks hold a stale tag until then. *)
+      write_header buf off ~size ~jump_levels len;
       (buf, off)
   | None ->
       Hyperion_error.fail
         (Hyperion_error.Chunk_corrupt
            (Format.asprintf
-              "write_slot: CEB slot %d vanished after ceb_set_slot in \
+              "alloc_slot: CEB slot %d vanished after ceb_set_slot in \
                container %a"
               slot Hp.pp ceb))
+
+let new_container trie content =
+  let hp = alloc_container trie (String.length content) in
+  let buf, base = Memman.resolve trie.mm hp in
+  Bytes.blit_string content 0 buf
+    (base + Layout.payload_start buf base)
+    (String.length content);
+  (* the recycled chunk's tag byte is stale garbage until this *)
+  Tag.recompute buf base;
+  hp
+
+let write_slot trie ceb slot content =
+  let buf, base = alloc_slot trie ceb slot (String.length content) in
+  Bytes.blit_string content 0 buf
+    (base + Layout.payload_start buf base)
+    (String.length content);
+  (* Callers recompute the tag byte once the content is fully
+     consistent — a split's right piece still needs its jump offsets
+     adjusted, and recycled chunks hold a stale tag until then. *)
+  (buf, base)
 
 let container_size cbox = Layout.read_size cbox.buf cbox.base
 

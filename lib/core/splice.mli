@@ -19,22 +19,30 @@ val refresh : Types.cbox -> unit
 (** Re-derive [buf]/[base] after an operation that may have moved the
     container. *)
 
-val new_container : ?jump_levels:int -> Types.trie -> string -> Hp.t
-(** Allocate a fresh container holding the given record content, with a
-    32-byte-granular exact-fit size.  [jump_levels] (default 0) reserves an
-    empty container jump table of that many 7-entry levels in front of
-    the content; the caller fills it ({!Jumps.fill_cjt}).  The tag byte is
-    recomputed from the content.
+val alloc_container : ?jump_levels:int -> Types.trie -> int -> Hp.t
+(** [alloc_container trie len] allocates a fresh container sized for [len]
+    content bytes, 32-byte granular and exact fit, and writes its header.
+    [jump_levels] (default 0) reserves an empty container jump table of
+    that many 7-entry levels in front of the content, which the caller
+    fills ({!Jumps.fill_cjt}).  The caller writes the content at
+    {!Layout.payload_start} and then recomputes the tag byte
+    ({!Tag.recompute}): the chunk's tag is stale until then.
     @raise Hyperion_error.Error [Container_overflow] past the 19-bit size
     limit, or the allocator's failures. *)
 
-val write_slot :
-  ?jump_levels:int -> Types.trie -> Hp.t -> int -> string -> Bytes.t * int
-(** [write_slot trie ceb slot content] populates the void CEB slot [slot]
-    with a container image laid out as {!new_container} does, and returns
-    its buffer and base.  Unlike {!new_container} it leaves the tag byte
-    stale: the caller recomputes it ({!Tag.recompute}) once the content
-    is final. *)
+val alloc_slot :
+  ?jump_levels:int -> Types.trie -> Hp.t -> int -> int -> Bytes.t * int
+(** [alloc_slot trie ceb slot len] populates the void CEB slot [slot] as
+    {!alloc_container} populates a chunk, and returns its buffer and
+    base. *)
+
+val new_container : Types.trie -> string -> Hp.t
+(** {!alloc_container} holding the given record content, tag byte
+    recomputed. *)
+
+val write_slot : Types.trie -> Hp.t -> int -> string -> Bytes.t * int
+(** {!alloc_slot} holding [content].  The tag byte is left stale: the
+    caller recomputes it ({!Tag.recompute}) once the content is final. *)
 
 val container_size : Types.cbox -> int
 (** Current size field of the open container. *)

@@ -62,6 +62,10 @@ let config t = t.cfg
 let stored_key (cfg : Config.t) key =
   if cfg.preprocess then Preprocess.encode key else key
 
+let stored_key_sub (cfg : Config.t) buf ~pos ~len =
+  if cfg.preprocess then Preprocess.encode_sub buf ~pos ~len
+  else Bytes.sub_string buf pos len
+
 let xform t key = stored_key t.cfg key
 
 let route t key =
@@ -254,16 +258,13 @@ let of_sorted ?(config = Config.default) keys values =
   let n = Array.length keys in
   if Array.length values <> n then
     invalid_arg "Store.of_sorted: keys and values differ in length";
-  for i = 1 to n - 1 do
-    if String.compare keys.(i - 1) keys.(i) >= 0 then
-      invalid_arg "Store.of_sorted: keys not strictly ascending"
-  done;
+  let lcp = Bulk.prefix_lengths keys in
   match Array.find_map Ops.key_error keys with
   | Some e -> Error e
   | None -> (
       let t = create ~config () in
       let build i ~lo ~hi =
-        with_arena t i (fun () -> Bulk.build t.tries.(i) keys values ~lo ~hi);
+        with_arena t i (fun () -> Bulk.build t.tries.(i) keys values ~lcp ~lo ~hi);
         Atomic.set t.counts.(i) (hi - lo)
       in
       match

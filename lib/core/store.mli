@@ -66,6 +66,10 @@ val stored_key : Config.t -> string -> string
     Stored-key order is the order {!iter} visits keys in.
     @raise Invalid_argument when pre-processing rejects the key. *)
 
+val stored_key_sub : Config.t -> Bytes.t -> pos:int -> len:int -> string
+(** {!stored_key} of the [len] bytes of a buffer at [pos], copied once.
+    @raise Invalid_argument as {!stored_key} does. *)
+
 val of_sorted :
   ?config:Config.t ->
   string array ->

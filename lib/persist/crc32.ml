@@ -25,11 +25,11 @@ let table =
   done;
   t
 
-let bytes ?(crc = 0l) b ~pos ~len =
+let update crc b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.bytes";
   let t = table in
-  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  let c = ref (crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
@@ -49,7 +49,12 @@ let bytes ?(crc = 0l) b ~pos ~len =
   for j = stop8 to pos + len - 1 do
     c := t.((!c lxor Bytes.get_uint8 b j) land 0xff) lxor (!c lsr 8)
   done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  !c lxor 0xFFFFFFFF
+
+let bytes_int b ~pos ~len = update 0 b ~pos ~len
+
+let bytes ?(crc = 0l) b ~pos ~len =
+  Int32.of_int (update (Int32.to_int crc) b ~pos ~len)
 
 let string ?crc s ~pos ~len =
   (* SAFETY: the aliased bytes are only ever read — [bytes] performs

@@ -9,4 +9,8 @@ val bytes : ?crc:int32 -> Bytes.t -> pos:int -> len:int -> int32
 (** [bytes b ~pos ~len] is the CRC-32 of the slice; [?crc] continues a
     running checksum (as [crc32()] in zlib does). *)
 
+val bytes_int : Bytes.t -> pos:int -> len:int -> int
+(** {!bytes} as an unsigned 32-bit [int]: no boxed [int32], for checks
+    made once per record. *)
+
 val string : ?crc:int32 -> string -> pos:int -> len:int -> int32

@@ -42,14 +42,25 @@ let frame payload =
 
 type record_error = Rec_short | Rec_bad_crc | Rec_bad_len
 
-let read_record buf ~pos =
+let rec_short = -1
+let rec_bad_len = -2
+let rec_bad_crc = -3
+
+let record buf ~pos =
   let total = Bytes.length buf in
-  if pos + 4 > total then Error Rec_short
+  if pos + 4 > total then rec_short
   else
     let len = Int32.to_int (Bytes.get_int32_le buf pos) in
-    if len < 0 || len > max_payload then Error Rec_bad_len
-    else if pos + 4 + len + 4 > total then Error Rec_short
-    else
-      let crc = Bytes.get_int32_le buf (pos + 4 + len) in
-      if crc <> Crc32.bytes buf ~pos:(pos + 4) ~len then Error Rec_bad_crc
-      else Ok (Bytes.sub_string buf (pos + 4) len, pos + 4 + len + 4)
+    if len < 0 || len > max_payload then rec_bad_len
+    else if pos + 4 + len + 4 > total then rec_short
+    else if
+      Int32.to_int (Bytes.get_int32_le buf (pos + 4 + len)) land 0xFFFFFFFF
+      <> Crc32.bytes_int buf ~pos:(pos + 4) ~len
+    then rec_bad_crc
+    else len
+
+let record_error code =
+  if code = rec_short then Rec_short
+  else if code = rec_bad_len then Rec_bad_len
+  else if code = rec_bad_crc then Rec_bad_crc
+  else invalid_arg "Frame.record_error"

@@ -40,8 +40,15 @@ val frame : string -> Bytes.t
 
 type record_error = Rec_short | Rec_bad_crc | Rec_bad_len
 
-val read_record : Bytes.t -> pos:int -> (string * int, record_error) result
-(** [read_record buf ~pos] decodes the record starting at [pos] and returns
-    [(payload, next_pos)].  Any of the three errors at the physical end of
-    a WAL is a torn tail.  Whole-file reads live in {!Io.read_file}: this
-    module is pure. *)
+val record : Bytes.t -> pos:int -> int
+(** [record buf ~pos] checks the record framed at [pos] where it lies:
+    its payload length [len] when it is whole and its CRC matches (the
+    payload is [buf]'s [len] bytes at [pos + 4]; the next record starts
+    at [pos + len + frame_overhead]), else a negative code for
+    {!record_error}.  Nothing is copied or allocated.  Any of the three
+    errors at the physical end of a WAL is a torn tail.  Whole-file reads
+    live in {!Io.read_file}: this module is pure. *)
+
+val record_error : int -> record_error
+(** The error a negative {!record} result stands for.
+    @raise Invalid_argument on a length. *)

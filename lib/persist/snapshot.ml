@@ -50,10 +50,12 @@ let parse_encoder path h buf =
     if h.encoder <> 0 then corrupt path "v1 snapshot with nonzero encoder bits"
     else Ok (Compress.Identity, Frame.header_size)
   else
-    match Frame.read_record buf ~pos:Frame.header_size with
-    | Error _ -> corrupt path "missing or torn dictionary record"
-    | Ok (blob, next) -> (
-        match h.encoder with
+    let len = Frame.record buf ~pos:Frame.header_size in
+    if len < 0 then corrupt path "missing or torn dictionary record"
+    else
+      let blob = Bytes.sub_string buf (Frame.header_size + 4) len
+      and next = Frame.header_size + len + Frame.frame_overhead in
+      match h.encoder with
         | 0 ->
             if blob = "" then Ok (Compress.Identity, next)
             else corrupt path "identity snapshot carries a dictionary"
@@ -61,7 +63,7 @@ let parse_encoder path h buf =
             match Compress.dict_of_string blob with
             | Ok d -> Ok (Compress.Dict d, next)
             | Error why -> corrupt path ("bad dictionary: " ^ why))
-        | n -> Error (E.Version_mismatch { found = n; expected = 1 }))
+      | n -> Error (E.Version_mismatch { found = n; expected = 1 })
 
 let record_payload key value =
   (* SAFETY: both buffers below are freshly allocated, fully written, and
@@ -147,20 +149,6 @@ let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
       (try Sys.remove tmp with Sys_error _ -> ());
       e
 
-let decode_record path payload =
-  let len = String.length payload in
-  if len < 1 then corrupt path "empty record payload"
-  else
-    match payload.[0] with
-    | '\x00' when len >= 2 -> Ok (String.sub payload 1 (len - 1), None)
-    | '\x01' when len >= 2 + 8 ->
-        let key = String.sub payload 1 (len - 9) in
-        (* SAFETY: the alias is read-only — one [get_int64_le] inside the
-           length-checked payload — so the string is never mutated. *)
-        let v = Bytes.get_int64_le (Bytes.unsafe_of_string payload) (len - 8) in
-        Ok (key, Some v)
-    | _ -> corrupt path "malformed record payload"
-
 let probe ?(io = Io.none) path =
   match Io.read_file io path with
   | Error _ as e -> e
@@ -172,11 +160,15 @@ let probe ?(io = Io.none) path =
           | Error _ as e -> e
           | Ok (enc, _) -> Ok (h, enc)))
 
-(* Every record of the file, CRC-checked and decoded.  The header's count
-   comes from the file, so it is bounded by what the remaining bytes can
-   hold before it sizes anything: a framed record takes at least 10 bytes
-   (length, tag, one key byte, CRC). *)
-let read_records path h buf ~pos =
+(* Every record of the file, CRC-checked and decoded where it lies in
+   [buf]: each key is copied out once, already in its stored form
+   ({!Hyperion.Store.stored_key_sub}), and must sort strictly after the
+   one before it, the order [save] writes them in — the trie is built
+   bottom-up from that order.  The header's count comes from the file, so
+   it is bounded by what the remaining bytes can hold before it sizes
+   anything: a framed record takes at least 10 bytes (length, tag, one
+   key byte, CRC). *)
+let read_records path config h buf ~pos =
   let total = Bytes.length buf in
   if h.count < 0 || h.count > (total - pos) / 10 then
     corrupt path
@@ -193,42 +185,43 @@ let read_records path h buf ~pos =
                seen)
       else if seen = h.count then corrupt path "trailing bytes"
       else
-        match Frame.read_record buf ~pos with
-        | Error Frame.Rec_short -> corrupt path "truncated record"
-        | Error Frame.Rec_bad_len -> corrupt path "absurd record length"
-        | Error Frame.Rec_bad_crc ->
-            corrupt path (Printf.sprintf "record #%d CRC mismatch" seen)
-        | Ok (payload, next) -> (
-            match decode_record path payload with
-            | Error _ as e -> e
-            | Ok (key, value) ->
-                keys.(seen) <- key;
-                values.(seen) <- value;
-                loop next (seen + 1))
+        let len = Frame.record buf ~pos in
+        if len < 0 then
+          corrupt path
+            (match Frame.record_error len with
+            | Frame.Rec_short -> "truncated record"
+            | Frame.Rec_bad_len -> "absurd record length"
+            | Frame.Rec_bad_crc -> Printf.sprintf "record #%d CRC mismatch" seen)
+        else
+          (* payload: tag, key, then the 8-byte value when the tag is 1 *)
+          let tag = if len < 2 then -1 else Bytes.get_uint8 buf (pos + 4) in
+          let klen =
+            if tag = 0 then len - 1
+            else if tag = 1 && len >= 2 + 8 then len - 9
+            else -1
+          in
+          if klen < 0 then corrupt path "malformed record payload"
+          else
+            match
+              Hyperion.Store.stored_key_sub config buf ~pos:(pos + 5) ~len:klen
+            with
+            | exception Invalid_argument why ->
+                corrupt path (Printf.sprintf "record #%d: %s" seen why)
+            | k ->
+                if seen > 0 && String.compare keys.(seen - 1) k >= 0 then
+                  corrupt path
+                    (Printf.sprintf "record #%d %s" seen
+                       (if String.equal keys.(seen - 1) k then "repeats a key"
+                        else "is out of order"))
+                else begin
+                  keys.(seen) <- k;
+                  if tag = 1 then
+                    values.(seen) <- Some (Bytes.get_int64_le buf (pos + 5 + klen));
+                  loop (pos + len + Frame.frame_overhead) (seen + 1)
+                end
     in
     loop pos 0
   end
-
-(* Turn the decoded keys into stored keys in place, and insist on the
-   strictly ascending order [save] writes them in: the trie is built
-   bottom-up from that order. *)
-let to_stored path config keys =
-  let rec go i =
-    if i = Array.length keys then Ok ()
-    else
-      match Hyperion.Store.stored_key config keys.(i) with
-      | exception Invalid_argument why ->
-          corrupt path (Printf.sprintf "record #%d: %s" i why)
-      | k ->
-          keys.(i) <- k;
-          if i > 0 && String.compare keys.(i - 1) k >= 0 then
-            corrupt path
-              (Printf.sprintf "record #%d %s" i
-                 (if keys.(i - 1) = k then "repeats a key"
-                  else "is out of order"))
-          else go (i + 1)
-  in
-  go 0
 
 let load_sorted ?(io = Io.none) ?expect ~config path =
   match Io.read_file io path with
@@ -276,12 +269,9 @@ let load_sorted ?(io = Io.none) ?expect ~config path =
                         (Hyperion.Config.fingerprint config)
                         enc))
               else
-                match read_records path h buf ~pos:records_pos with
+                match read_records path config h buf ~pos:records_pos with
                 | Error _ as e -> e
-                | Ok (keys, values) -> (
-                    match to_stored path config keys with
-                    | Error _ as e -> e
-                    | Ok () -> Ok (keys, values, enc))))
+                | Ok (keys, values) -> Ok (keys, values, enc)))
 
 let load ?io ?expect ~config path =
   match load_sorted ?io ?expect ~config path with

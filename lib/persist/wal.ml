@@ -92,19 +92,15 @@ let encode op =
   | Add key -> Bytes.unsafe_to_string (tagged 2 key 0)
   | Delete key -> Bytes.unsafe_to_string (tagged 3 key 0)
 
-let decode payload =
-  let len = String.length payload in
+(* The op in the [len]-byte payload at [p], its key copied out once. *)
+let decode buf ~p ~len =
   if len < 2 then None
   else
-    let key ?(drop = 0) () = String.sub payload 1 (len - 1 - drop) in
-    match payload.[0] with
-    | '\x01' when len >= 2 + 8 ->
-        (* SAFETY: the alias is read-only — one [get_int64_le] inside the
-           length-checked payload — so the string is never mutated. *)
-        let v = Bytes.get_int64_le (Bytes.unsafe_of_string payload) (len - 8) in
-        Some (Put (key ~drop:8 (), v))
-    | '\x02' -> Some (Add (key ()))
-    | '\x03' -> Some (Delete (key ()))
+    let key drop = Bytes.sub_string buf (p + 1) (len - 1 - drop) in
+    match Bytes.get_uint8 buf p with
+    | 1 when len >= 2 + 8 -> Some (Put (key 8, Bytes.get_int64_le buf (p + len - 8)))
+    | 2 -> Some (Add (key 0))
+    | 3 -> Some (Delete (key 0))
     | _ -> None
 
 let append w op =
@@ -219,25 +215,19 @@ let replay ?(io = Io.none) ?(compress = Compress.Identity) ~config ~gen path ~f 
             let rec loop pos records =
               if pos = total then Ok { records; valid_bytes = pos; truncated = false }
               else
-                match Frame.read_record buf ~pos with
-                | Error (Frame.Rec_short | Frame.Rec_bad_crc | Frame.Rec_bad_len)
-                  -> (
-                    (* torn tail: drop it *)
+                let len = Frame.record buf ~pos in
+                (* a torn tail, or a CRC-valid but undecodable record at
+                   the end of the valid prefix: drop it *)
+                let op = if len < 0 then None else decode buf ~p:(pos + 4) ~len in
+                match op with
+                | None -> (
                     match truncate_to io path pos with
                     | Ok () -> Ok { records; valid_bytes = pos; truncated = true }
                     | Error _ as e -> e)
-                | Ok (payload, next) -> (
-                    match decode payload with
-                    | None -> (
-                        (* CRC-valid but undecodable: treat as tear, too *)
-                        match truncate_to io path pos with
-                        | Ok () ->
-                            Ok { records; valid_bytes = pos; truncated = true }
-                        | Error _ as e -> e)
-                    | Some op -> (
-                        match f op with
-                        | Ok () -> loop next (records + 1)
-                        | Error _ as e -> e))
+                | Some op -> (
+                    match f op with
+                    | Ok () -> loop (pos + len + Frame.frame_overhead) (records + 1)
+                    | Error _ as e -> e)
             in
             loop Frame.header_size 0
           end)

@@ -481,6 +481,47 @@ let test_golden_layout () =
         golden_configs)
     [ ("ngrams", golden_ngrams); ("shared", golden_shared); ("long", golden_long) ]
 
+(* ---- allocation budget ------------------------------------------------ *)
+
+(* Minor-heap words per key: a count that does not depend on the machine's
+   speed.  The builder writes records straight into their chunks and the
+   decoder reads frames where they lie, so what is left per key is the
+   key string, its value box and a little per-container bookkeeping. *)
+let test_alloc_budget () =
+  let n = 100_000 in
+  let words f =
+    let m0 = Gc.minor_words () in
+    let r = f () in
+    (r, (Gc.minor_words () -. m0) /. float_of_int n)
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let keys =
+        Array.map (S.stored_key cfg)
+          (Workload.Keystream.keys (Workload.Keystream.create ~n ()))
+      in
+      Array.sort String.compare keys;
+      let values =
+        Array.mapi (fun i _ -> if i mod 3 = 0 then None else Some (Int64.of_int i)) keys
+      in
+      let built, w = words (fun () -> S.of_sorted ~config:cfg keys values) in
+      let store =
+        match built with Ok s -> s | Error e -> Alcotest.fail (E.to_string e)
+      in
+      if w > 25. then Alcotest.failf "%s: of_sorted allocates %.1f minor words per key" name w;
+      let path = Filename.temp_file "hyperion_bulk" ".hyp" in
+      (match Persist.save_snapshot store path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (E.to_string e));
+      let loaded, w = words (fun () -> Persist.Snapshot.load_sorted ~config:cfg path) in
+      Sys.remove path;
+      (match loaded with
+      | Ok (k, _, _) -> Alcotest.(check int) (name ^ ": keys loaded") n (Array.length k)
+      | Error e -> Alcotest.fail (E.to_string e));
+      if w > 12. then
+        Alcotest.failf "%s: load_sorted allocates %.1f minor words per key" name w)
+    [ ("default", H.Config.default); ("preprocess", { H.Config.default with preprocess = true }) ]
+
 let () =
   Alcotest.run "bulk"
     [
@@ -491,6 +532,7 @@ let () =
           Alcotest.test_case "dense fan-out" `Quick test_dense;
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
           Alcotest.test_case "golden layout" `Quick test_golden_layout;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
         ] );
       ( "snapshot",
         [
