@@ -1,16 +1,31 @@
 (** Bottom-up construction of a trie from a sorted run of keys.
 
-    Hyperion's containers are pre-order byte streams of T/S records
-    (paper Section 3.1), so a strictly ascending run can be written out
-    in one pass, each container's bytes laid down once, instead of paying
-    a descent, a splice and jump-table upkeep per key.  The result is a
-    trie the put path could have produced: record heads and child bodies
-    come from {!Encode}, jump fields and tables follow {!Jumps}, multi-key
-    children embed when they fit [min 255 embedded_max] bytes, a top
-    region over [embedded_eject_parent_limit] ejects its largest embedded
-    children, and content past [split_a] is spread over CEB slots on
-    32-key boundaries as {!Ops} splits would.  Containers are exact-fit
-    (free tail under 32 bytes); no chunk is freed along the way. *)
+    Hyperion's containers are exact-fit pre-order byte streams of T/S
+    records (paper Section 3.1), so a strictly ascending run can be
+    written straight into its chunks instead of paying a descent, a
+    splice and jump-table upkeep per key.  Each key range takes two
+    passes:
+
+    - a {e size} pass in integers only: one fixed-stride entry per T- and
+      S-node on a reusable int scratch stack, recording head sizes
+      ({!Node.t_head_size}, {!Node.s_head_size}), child body sizes,
+      embed-or-container decisions, ejection over
+      [embedded_eject_parent_limit], jump fields ({!Jumps}) and the CEB
+      cuts over [split_a];
+    - a {e write} pass that lays the records straight into their final
+      bytes — a container's or CEB slot's chunk, or, for an embedded
+      child, its parent's — through {!Encode}'s buffer writers, the one
+      byte encoding the put path uses too.
+
+    No string, [Buffer], list or per-group record is made per key.
+    Children are built before their parents, in the order the put path
+    would allocate them, so the result is a trie the put path could have
+    produced, and byte for byte the one the string-building builder this
+    replaced made.  Multi-key children embed when they fit
+    [min 255 embedded_max] bytes; content past [split_a] is spread over
+    CEB slots on 32-key boundaries as {!Ops} splits would.  Containers
+    are exact-fit (free tail under 32 bytes); no chunk is freed along the
+    way. *)
 
 val build :
   Types.trie ->

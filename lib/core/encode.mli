@@ -1,6 +1,9 @@
-(** Pure builders for record byte fragments and for the child encodings of
-    key suffixes: path-compressed nodes, (recursively) embedded containers
-    and real child containers (paper Section 3.1).
+(** The byte encoding of records and of the children holding key
+    suffixes: path-compressed nodes, (recursively) embedded containers
+    and real child containers (paper Section 3.1).  Buffer writers lay an
+    encoding at a position; the string builders the put path splices in
+    are made on top of them, so the put path and the bottom-up builder
+    ({!Bulk}) share one encoding.
 
     The builders apply delta encoding whenever the gap to the preceding
     sibling fits the 3-bit delta field (Section 3.3). *)

@@ -13,6 +13,7 @@ type t =
   | Degraded of string
   | Overloaded of string
   | Shard_down of string
+  | Key_too_short of int
 
 exception Error of t
 
@@ -38,6 +39,9 @@ let to_string = function
         "store is degraded (read-only) after a storage failure: %s" why
   | Overloaded what -> Printf.sprintf "shard overloaded: %s" what
   | Shard_down why -> Printf.sprintf "shard worker is down: %s" why
+  | Key_too_short n ->
+      Printf.sprintf
+        "key of %d bytes is shorter than the 4 bytes key pre-processing needs" n
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 

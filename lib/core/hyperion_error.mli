@@ -52,6 +52,10 @@ type t =
           exception (payload: that exception).  The mutation was not
           applied; the shard can be restarted from its persist
           directory ({!Hyperion_shard.restart_shard}). *)
+  | Key_too_short of int
+      (** Under key pre-processing ({!Config.t.preprocess}) a key must be
+          at least 4 bytes long (paper Section 3.4); the payload is the
+          key's length.  Nothing is logged or applied for it. *)
 
 exception Error of t
 (** The exception-API wrapper around {!t}. *)

@@ -50,8 +50,12 @@ val put_checked :
     errors ([Empty_key], [Key_too_long]) — routed through the typed result
     channel instead of exceptions. *)
 
+val max_key_len : int
+(** 2^20: the longest key the trie holds. *)
+
 val key_error : string -> Hyperion_error.t option
-(** The typed validation error for a key, if any. *)
+(** The typed validation error for a key as the trie stores it, if any
+    ({!Store.key_error} adds the rules of pre-processing). *)
 
 val delete : Types.trie -> string -> bool
 (** Remove a key (valued or not); [true] iff it was present.  Vacated

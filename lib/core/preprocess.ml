@@ -4,8 +4,10 @@
    paper's choice, preserving delta-encoding efficiency and uniform
    partial-key distribution); input bytes 4.. are copied unchanged. *)
 
+let min_key_len = 4
+
 let encode_sub src ~pos ~len:n =
-  if n < 4 then invalid_arg "Preprocess.encode: keys must be >= 4 bytes";
+  if n < min_key_len then invalid_arg "Preprocess.encode: keys must be >= 4 bytes";
   let out = Bytes.create (n + 1) in
   Bytes.set out 0 (Bytes.get src pos);
   let stream =

@@ -11,6 +11,9 @@
     Only valid when every key is at least 4 bytes long (the paper evaluates
     it on 8-byte integers). *)
 
+val min_key_len : int
+(** 4: the shortest key {!encode} accepts. *)
+
 val encode : string -> string
 (** @raise Invalid_argument when the key is shorter than 4 bytes. *)
 

@@ -66,6 +66,17 @@ let stored_key_sub (cfg : Config.t) buf ~pos ~len =
   if cfg.preprocess then Preprocess.encode_sub buf ~pos ~len
   else Bytes.sub_string buf pos len
 
+(* The stored key is one byte longer under pre-processing. *)
+let key_error (cfg : Config.t) key =
+  match Ops.key_error key with
+  | Some _ as e -> e
+  | None ->
+      let n = String.length key in
+      if not cfg.preprocess then None
+      else if n < Preprocess.min_key_len then Some (Hyperion_error.Key_too_short n)
+      else if n + 1 > Ops.max_key_len then Some (Hyperion_error.Key_too_long (n + 1))
+      else None
+
 let xform t key = stored_key t.cfg key
 
 let route t key =
@@ -287,7 +298,7 @@ let of_sorted ?(config = Config.default) keys values =
 (* --- typed-result mutation API ------------------------------------- *)
 
 let put_result_opt_u t key value =
-  match Ops.key_error key with
+  match key_error t.cfg key with
   | Some e -> Error e
   | None ->
       let key = xform t key in
@@ -318,7 +329,7 @@ let put_result t key value = put_result_opt t key (Some value)
 let add_result t key = put_result_opt t key None
 
 let delete_result_u t key =
-  match Ops.key_error key with
+  match key_error t.cfg key with
   | Some e -> Error e
   | None ->
       let key = xform t key in

@@ -58,6 +58,14 @@ val put_result : t -> string -> int64 -> (unit, Hyperion_error.t) result
 val add_result : t -> string -> (unit, Hyperion_error.t) result
 val delete_result : t -> string -> (bool, Hyperion_error.t) result
 
+val key_error : Config.t -> string -> Hyperion_error.t option
+(** The key rules every mutation checks before anything is logged or
+    applied: [Empty_key], [Key_too_long] (for the key, or under
+    pre-processing for its one-byte-longer stored form) and, under
+    pre-processing, [Key_too_short] for a key under 4 bytes.  The typed
+    mutations below, the durable front-end ({!Persist}) and the sharded
+    front door all use this one check. *)
+
 (** {1 Bottom-up construction} *)
 
 val stored_key : Config.t -> string -> string

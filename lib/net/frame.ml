@@ -50,6 +50,7 @@ type err_code =
   | E_degraded
   | E_overloaded
   | E_shard_down
+  | E_key_too_short
   | E_bad_request
   | E_too_large
   | E_internal
@@ -69,6 +70,7 @@ let err_code_int = function
   | E_degraded -> 12
   | E_overloaded -> 13
   | E_shard_down -> 14
+  | E_key_too_short -> 15
   | E_bad_request -> 100
   | E_too_large -> 101
   | E_internal -> 102
@@ -88,6 +90,7 @@ let err_code_of_int = function
   | 12 -> Some E_degraded
   | 13 -> Some E_overloaded
   | 14 -> Some E_shard_down
+  | 15 -> Some E_key_too_short
   | 100 -> Some E_bad_request
   | 101 -> Some E_too_large
   | 102 -> Some E_internal
@@ -109,6 +112,7 @@ let err_of_hyperion (e : Hyperion.Hyperion_error.t) =
   | Degraded _ -> E_degraded
   | Overloaded _ -> E_overloaded
   | Shard_down _ -> E_shard_down
+  | Key_too_short _ -> E_key_too_short
 
 type shard_health = {
   sh_shard : int;

@@ -58,7 +58,7 @@ val opcode : request -> int
 (** {1 Responses} *)
 
 (** Typed protocol error codes, a superset of {!Hyperion.Hyperion_error.t}
-    (codes 1–14 map its constructors; 100+ are protocol-layer errors). *)
+    (codes 1–15 map its constructors; 100+ are protocol-layer errors). *)
 type err_code =
   | E_arena_saturated  (** 1 *)
   | E_alloc_failed  (** 2 *)
@@ -74,6 +74,7 @@ type err_code =
   | E_degraded  (** 12 *)
   | E_overloaded  (** 13 *)
   | E_shard_down  (** 14 *)
+  | E_key_too_short  (** 15: under 4 bytes with key pre-processing on *)
   | E_bad_request  (** 100: malformed frame, unknown opcode, bad key *)
   | E_too_large  (** 101: frame or batch beyond the protocol bounds *)
   | E_internal  (** 102: unexpected server-side exception *)

@@ -526,7 +526,7 @@ let guard_mut t f =
 
 let put t key v =
   guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
+      match Hyperion.Store.key_error t.cfg key with
       | Some e -> Error e
       | None ->
           log_then_apply t (Wal.Put (key, v)) ~apply:(fun () ->
@@ -534,7 +534,7 @@ let put t key v =
 
 let add t key =
   guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
+      match Hyperion.Store.key_error t.cfg key with
       | Some e -> Error e
       | None ->
           log_then_apply t (Wal.Add key) ~apply:(fun () ->
@@ -542,7 +542,7 @@ let add t key =
 
 let delete t key =
   guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
+      match Hyperion.Store.key_error t.cfg key with
       | Some e -> Error e
       | None ->
           (* append-first needs to know up front whether the delete will

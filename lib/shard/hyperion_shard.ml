@@ -261,17 +261,20 @@ let shard_of_key t key = route_byte (Array.length t.tab) (Compress.first_byte t.
 
 (* Front-door key validation + encoding: the raw key must satisfy the
    store's key rules (rejecting e.g. the empty key before it gains bytes
-   from the terminator code), and so must its encoding (worst-case
-   expansion can push a near-limit key over the length cap). *)
-let front_key enc key =
+   from the terminator code), and so must its encoding under the shard
+   stores' config ({!H.Store.key_error}: worst-case expansion can push a
+   near-limit key over the length cap, and pre-processing needs 4
+   bytes). *)
+let front_key cfg enc key =
   match H.Ops.key_error key with
   | Some e -> Error e
   | None -> (
-      match enc with
-      | Compress.Identity -> Ok key
-      | Compress.Dict _ -> (
-          let ek = Compress.encode enc key in
-          match H.Ops.key_error ek with Some e -> Error e | None -> Ok ek))
+      let ek =
+        match enc with
+        | Compress.Identity -> key
+        | Compress.Dict _ -> Compress.encode enc key
+      in
+      match H.Store.key_error cfg ek with Some e -> Error e | None -> Ok ek)
 
 let decoded enc ekey =
   match Compress.decode enc ekey with
@@ -712,7 +715,7 @@ let submit j =
   go ()
 
 let mut_job t key op k =
-  match front_key t.enc key with
+  match front_key t.cfg t.enc key with
   | Error e -> job t [| Inline (fun () -> k (Error e)) |]
   | Ok ek -> job t [| Post (shard_of_encoded t ek, Mut (op ek, k)) |]
 

@@ -41,8 +41,8 @@ let err_code_gen =
       F.E_arena_saturated; F.E_alloc_failed; F.E_container_overflow;
       F.E_restart_budget; F.E_chunk_corrupt; F.E_empty_key; F.E_key_too_long;
       F.E_corrupt_snapshot; F.E_torn_log; F.E_version_mismatch; F.E_io;
-      F.E_degraded; F.E_overloaded; F.E_shard_down; F.E_bad_request;
-      F.E_too_large; F.E_internal;
+      F.E_degraded; F.E_overloaded; F.E_shard_down; F.E_key_too_short;
+      F.E_bad_request; F.E_too_large; F.E_internal;
     ]
 
 let health_gen =
@@ -253,7 +253,8 @@ let test_err_code_ints () =
       | Some _ | None -> Alcotest.failf "code %d does not round-trip" n)
     [
       (F.E_arena_saturated, 1); (F.E_empty_key, 6); (F.E_degraded, 12);
-      (F.E_overloaded, 13); (F.E_shard_down, 14); (F.E_bad_request, 100);
+      (F.E_overloaded, 13); (F.E_shard_down, 14); (F.E_key_too_short, 15);
+      (F.E_bad_request, 100);
       (F.E_too_large, 101); (F.E_internal, 102);
     ]
 

@@ -638,6 +638,43 @@ let test_merge_typed_key_errors () =
       Alcotest.(check (option int64)) "other key kept" (Some 1L)
         (S.get (Persist.store p) "keep")
 
+(* Under key pre-processing a key shorter than 4 bytes is refused with a
+   typed error before anything is logged, so the directory still reopens
+   and the log holds no record for it. *)
+let test_short_key_preprocess () =
+  let dir = fresh_dir () in
+  let p = ok "open" (Persist.open_or_create ~config:cfg_pre dir) in
+  ok "long put" (Persist.put p "long-enough" 1L);
+  let before = Persist.wal_size p in
+  let short = function E.Key_too_short 2 -> true | _ -> false in
+  expect_error "short put" (Persist.put p "ab" 2L) short;
+  expect_error "short add" (Persist.add p "ab") short;
+  expect_error "short delete" (Persist.delete p "ab") short;
+  Alcotest.(check int) "nothing logged" before (Persist.wal_size p);
+  ok "next put" (Persist.put p "another-key" 3L);
+  ok "close" (Persist.close p);
+  let p = ok "reopen" (Persist.open_or_create ~config:cfg_pre dir) in
+  Alcotest.(check int) "two records replayed" 2 (Persist.recovery p).Persist.replayed_ops;
+  Alcotest.(check (list (pair string (option int64))))
+    "bindings"
+    [ ("another-key", Some 3L); ("long-enough", Some 1L) ]
+    (dump (Persist.store p));
+  expect_error "short put after reopen" (Persist.put p "ab" 2L) short;
+  ok "close" (Persist.close p);
+  remove_dir dir;
+  (* the store's typed API applies the same rule *)
+  let s = S.create ~config:cfg_pre () in
+  expect_error "store put" (S.put_result s "abc" 1L) (function
+    | E.Key_too_short 3 -> true
+    | _ -> false);
+  expect_error "store delete" (S.delete_result s "a") (function
+    | E.Key_too_short 1 -> true
+    | _ -> false);
+  (* and so does the sharded front door *)
+  let sh = Hyperion_shard.create ~config:cfg_pre ~shards:2 () in
+  expect_error "sharded put" (Hyperion_shard.put_result sh "ab" 1L) short;
+  ignore (ok "sharded close" (Hyperion_shard.close sh))
+
 (* --- crash-recovery chaos sweep (acceptance: CI runs 100 seeds) ------ *)
 
 let test_crash_chaos_sweep () =
@@ -694,6 +731,8 @@ let () =
             test_merge_fixed_cases;
           Alcotest.test_case "typed key errors" `Quick
             test_merge_typed_key_errors;
+          Alcotest.test_case "short keys under pre-processing" `Quick
+            test_short_key_preprocess;
           QCheck_alcotest.to_alcotest prop_merge_equals_replay;
         ] );
       ( "determinism",
