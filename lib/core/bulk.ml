@@ -217,15 +217,21 @@ let eject src s =
   let buf, base = Memman.resolve trie.mm hp in
   let pos = base + Layout.payload_start buf base in
   let i = get src s f_skey in
-  (if i >= 0 then
-     let k = src.keys.(i) and off = get src s f_off in
-     ignore
-       (Encode.write_child ~bare:true trie src.chain k ~off
-          ~len:(String.length k - off) src.vals.(i) ~hp:(get src s f_hp) buf pos)
-   else ignore (write_region src (s + stride) (get src s f_end) buf pos));
-  (* the chain's T-node is rare enough to be parsed back *)
-  if i >= 0 then Tag.recompute buf base
-  else Layout.write_tag buf base (region_tag src (s + stride) (get src s f_end));
+  let tag =
+    if i >= 0 then begin
+      (* a suffix chain's region is one T-node over the suffix's first byte *)
+      let k = src.keys.(i) and off = get src s f_off in
+      ignore
+        (Encode.write_child ~bare:true trie src.chain k ~off
+           ~len:(String.length k - off) src.vals.(i) ~hp:(get src s f_hp) buf pos);
+      Tag.bit (Char.code k.[off])
+    end
+    else begin
+      ignore (write_region src (s + stride) (get src s f_end) buf pos);
+      region_tag src (s + stride) (get src s f_end)
+    end
+  in
+  Layout.write_tag buf base tag;
   set src s f_hp hp;
   set src s f_skey (-1);
   set src s f_kind code_hp;
@@ -278,7 +284,6 @@ let tkey src i = get src src.tl.a.(i) f_key
 let piece_offsets src i0 i1 =
   let offs = src.offs in
   offs.n <- 0;
-  reserve offs (i1 - i0 + 1);
   let off = ref 0 in
   for i = i0 to i1 - 1 do
     push offs !off;
