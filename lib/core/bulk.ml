@@ -456,6 +456,7 @@ let rec plan_region src lo hi level =
     let ends = String.length k = level + 1 in
     let t = open_entry src ~key:(Char.code k.[level]) ~term:(if ends then !i else -1) in
     let p = ref (if ends then !i + 1 else !i) and count = ref 0 in
+    let size = ref 0 and prev = ref (-1) in
     while !p < j do
       let q = run_end src !p j (level + 1) in
       let k = src.keys.(!p) in
@@ -466,12 +467,14 @@ let rec plan_region src lo hi level =
       let c = if ends then !p + 1 else !p in
       if c < q then plan_child src s c q (level + 2);
       set src s f_end src.pl.n;
+      size := !size + s_head_len src ~prev:!prev s + get src s f_size;
+      prev := get src s f_key;
       incr count;
       p := q
     done;
     set src t f_count !count;
     set src t f_end src.pl.n;
-    set src t f_size (s_part_size src t);
+    set src t f_size !size;
     i := j
   done
 

@@ -181,22 +181,30 @@ let levels trie lv ~len ~has_value =
 let leaf_typ value =
   if Option.is_some value then Node.Leaf_value else Node.Leaf_no_value
 
+(* One (T, S) pair over [src.[i]], [src.[i+1]] with an inner S-node. *)
+let write_pair src i ~child buf pos =
+  let pos =
+    write_t_head buf pos ~prev_key:(-1) ~key:(Char.code src.[i]) ~typ:Node.Inner
+      ~value:None
+  in
+  write_s_head buf pos ~prev_key:(-1)
+    ~key:(Char.code src.[i + 1])
+    ~typ:Node.Inner ~value:None ~child
+
 (* The T/S heads of level [j]'s region of the suffix [src.[off ..]]; the
    position after them.  The level continues below iff [r > 2]. *)
 let write_heads lv src ~off ~len value j buf pos =
   let r = len - (2 * j) and b = off + (2 * j) in
-  let k0 = Char.code src.[b] in
-  if r = 1 then write_t_head buf pos ~prev_key:(-1) ~key:k0 ~typ:(leaf_typ value) ~value
-  else begin
-    let pos = write_t_head buf pos ~prev_key:(-1) ~key:k0 ~typ:Node.Inner ~value:None in
-    let k1 = Char.code src.[b + 1] in
-    if r = 2 then
-      write_s_head buf pos ~prev_key:(-1) ~key:k1 ~typ:(leaf_typ value) ~value
-        ~child:Node.No_child
+  if r > 2 then write_pair src b ~child:(child_kind lv.(j + 1)) buf pos
+  else
+    let k0 = Char.code src.[b] in
+    if r = 1 then
+      write_t_head buf pos ~prev_key:(-1) ~key:k0 ~typ:(leaf_typ value) ~value
     else
-      write_s_head buf pos ~prev_key:(-1) ~key:k1 ~typ:Node.Inner ~value:None
-        ~child:(child_kind lv.(j + 1))
-  end
+      let pos = write_t_head buf pos ~prev_key:(-1) ~key:k0 ~typ:Node.Inner ~value:None in
+      write_s_head buf pos ~prev_key:(-1)
+        ~key:(Char.code src.[b + 1])
+        ~typ:(leaf_typ value) ~value ~child:Node.No_child
 
 (* Level [j]'s body and the embedded levels below it, down to a
    path-compressed body or the next container [hp]. *)
@@ -219,12 +227,13 @@ let write_body lv src ~off ~len value j ~hp buf pos =
   done;
   !pos
 
-(* A fresh container holding [size] content bytes, written by [write]. *)
-let container trie size write =
+(* A fresh container holding [size] content bytes, written by [write];
+   a chain's region is one T-node, over the byte [src.[at]]. *)
+let container trie src ~at size write =
   let hp = Splice.alloc_container trie size in
   let buf, base = Memman.resolve trie.mm hp in
   ignore (write buf (base + Layout.payload_start buf base));
-  Tag.recompute buf base;
+  Layout.write_tag buf base (Tag.bit (Char.code src.[at]));
   hp
 
 (* Level [j]'s region: its heads, then the body of the level below. *)
@@ -243,7 +252,7 @@ let alloc_levels trie lv ~n src ~off ~len value =
       let r = len - (2 * j) in
       let below = !hp in
       hp :=
-        container trie
+        container trie src ~at:(off + (2 * j))
           (region_size ~r ~vs (if r > 2 then lv.(j + 1) else 0))
           (write_region lv src ~off ~len value j ~hp:below)
     end
@@ -267,16 +276,6 @@ let layout_child trie lv ~len ~has_value =
   else if long_top_embeds trie then pack (1 + 4 + Hp.byte_size) Node.Child_embedded
   else pack Hp.byte_size Node.Child_hp
 
-(* One (T, S) pair over [src.[i]], [src.[i+1]] with an inner S-node. *)
-let write_pair src i ~child buf pos =
-  let pos =
-    write_t_head buf pos ~prev_key:(-1) ~key:(Char.code src.[i]) ~typ:Node.Inner
-      ~value:None
-  in
-  write_s_head buf pos ~prev_key:(-1)
-    ~key:(Char.code src.[i + 1])
-    ~typ:Node.Inner ~value:None ~child
-
 let alloc_child trie lv src ~off ~len value =
   if len <= trie.cfg.pc_max then Hp.null
   else if len <= long_threshold then
@@ -291,7 +290,7 @@ let alloc_child trie lv src ~off ~len value =
     let tail = lv.(0) in
     let hp =
       ref
-        (container trie (4 + child_size tail) (fun buf pos ->
+        (container trie src ~at:(off + ts - 2) (4 + child_size tail) (fun buf pos ->
              let pos = write_pair src (off + ts - 2) ~child:(child_kind tail) buf pos in
              write_body lv src ~off:(off + ts) ~len:tlen value 0 ~hp:tail_hp buf pos))
     in
@@ -300,7 +299,7 @@ let alloc_child trie lv src ~off ~len value =
     while !i >= last do
       let below = !hp and at = off + !i in
       hp :=
-        container trie (4 + Hp.byte_size) (fun buf pos ->
+        container trie src ~at (4 + Hp.byte_size) (fun buf pos ->
             write_hp buf (write_pair src at ~child:Node.Child_hp buf pos) below);
       i := !i - 2
     done;

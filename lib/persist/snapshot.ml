@@ -56,13 +56,13 @@ let parse_encoder path h buf =
       let blob = Bytes.sub_string buf (Frame.header_size + 4) len
       and next = Frame.header_size + len + Frame.frame_overhead in
       match h.encoder with
-        | 0 ->
-            if blob = "" then Ok (Compress.Identity, next)
-            else corrupt path "identity snapshot carries a dictionary"
-        | 1 -> (
-            match Compress.dict_of_string blob with
-            | Ok d -> Ok (Compress.Dict d, next)
-            | Error why -> corrupt path ("bad dictionary: " ^ why))
+      | 0 ->
+          if blob = "" then Ok (Compress.Identity, next)
+          else corrupt path "identity snapshot carries a dictionary"
+      | 1 -> (
+          match Compress.dict_of_string blob with
+          | Ok d -> Ok (Compress.Dict d, next)
+          | Error why -> corrupt path ("bad dictionary: " ^ why))
       | n -> Error (E.Version_mismatch { found = n; expected = 1 })
 
 let record_payload key value =

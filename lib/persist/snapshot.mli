@@ -23,10 +23,11 @@
     [path], then fsyncs the directory — a crash mid-snapshot leaves at
     worst a stale [.tmp] and the previous generation intact.
 
-    Load decodes every record, turns the keys into stored keys
-    ({!Hyperion.Store.stored_key}) and builds the trie bottom-up in one
-    ascending pass ({!Hyperion.Store.of_sorted}); a file whose stored keys
-    are not strictly ascending is corrupt. *)
+    Load checks and decodes every record where it lies in the file
+    buffer ({!Frame.record}), copies each key out once in its stored form
+    ({!Hyperion.Store.stored_key_sub}) and builds the trie bottom-up in
+    one ascending pass ({!Hyperion.Store.of_sorted}); a file whose stored
+    keys are not strictly ascending is corrupt. *)
 
 val format_version : int
 (** 2.  Files at version 1 are accepted by {!load}; anything else is

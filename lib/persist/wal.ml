@@ -96,11 +96,12 @@ let encode op =
 let decode buf ~p ~len =
   if len < 2 then None
   else
-    let key drop = Bytes.sub_string buf (p + 1) (len - 1 - drop) in
     match Bytes.get_uint8 buf p with
-    | 1 when len >= 2 + 8 -> Some (Put (key 8, Bytes.get_int64_le buf (p + len - 8)))
-    | 2 -> Some (Add (key 0))
-    | 3 -> Some (Delete (key 0))
+    | 1 when len >= 2 + 8 ->
+        Some
+          (Put (Bytes.sub_string buf (p + 1) (len - 9), Bytes.get_int64_le buf (p + len - 8)))
+    | 2 -> Some (Add (Bytes.sub_string buf (p + 1) (len - 1)))
+    | 3 -> Some (Delete (Bytes.sub_string buf (p + 1) (len - 1)))
     | _ -> None
 
 let append w op =
