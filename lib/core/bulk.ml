@@ -1,7 +1,7 @@
 open Types
 
-(* Growable int stacks: the only scratch the builder allocates, reused
-   across every container of one build. *)
+(* Growable int stacks: the builder's scratch, reused across every
+   container of one build. *)
 type stack = { mutable a : int array; mutable n : int }
 
 let stack () = { a = Array.make 256 0; n = 0 }
@@ -49,7 +49,7 @@ type src = {
   tl : stack;  (** top-region T entries of the container being written *)
   offs : stack;  (** their offsets in the current piece *)
   pieces : stack;  (** (first, past-last, slot, length) per piece of that container *)
-  soffs : stack;  (** S-child offsets of one T-node *)
+  soffs : stack;  (** S-child offsets of one T-node, or ejection candidates *)
 }
 
 let get src e f = src.pl.a.(e + f)
